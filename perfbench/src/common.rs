@@ -12,9 +12,10 @@ use streamgrid_core::source::{FrameReport, FrameSource, StreamOptions, StreamRep
 use streamgrid_pointcloud::datasets::lidar::{trajectory, LidarConfig, Scene};
 use streamgrid_pointcloud::datasets::stream::LidarStream;
 
+use crate::calib;
 use crate::probes::{drain, Log, Lookup, Pull, TimedSource};
 use crate::stats;
-use crate::trace::{self, Span, Tracer};
+use crate::trace::{self, Tracer};
 
 /// End-to-end metrics: every `--trace 0` run reports exactly these.
 pub const END_TO_END: [(&str, &str); 11] = [
@@ -85,7 +86,8 @@ pub struct Report {
     /// Frames offered across the measured repetitions.
     pub attempted: u64,
     /// Offered frames not delivered clean, plus every frame of a
-    /// repetition whose output check failed.
+    /// repetition whose output check failed; every offered frame once
+    /// any check of the run fails.
     pub failed: u64,
     pub checks: Vec<Check>,
     pub metrics: Vec<Metric>,
@@ -124,8 +126,13 @@ impl Report {
     }
 
     /// Checks the metric set is exactly the catalogue for this mode,
-    /// each metric once and finite.
+    /// each metric once and finite; then counts every offered frame
+    /// failed if any check of the run failed, and sets `ok_frac` (frames
+    /// delivered clean ÷ frames offered) of an untraced run.
     pub fn finish(mut self, traced: bool) -> Self {
+        if !traced {
+            self.metric("ok_frac", 0.0);
+        }
         let want: &[(&str, &str)] = if traced { &PER_LAYER } else { &END_TO_END };
         let mut got: Vec<&str> = self.metrics.iter().map(|m| m.name).collect();
         got.sort_unstable();
@@ -135,6 +142,14 @@ impl Report {
         let finite = self.metrics.iter().all(|m| m.value.is_finite());
         self.check("every catalogued metric reported once", complete);
         self.check("every metric is finite", finite);
+        if !self.checks.iter().all(|c| c.passed) {
+            self.failed = self.attempted;
+        }
+        let ok_frac = (self.attempted - self.failed.min(self.attempted)) as f64
+            / self.attempted.max(1) as f64;
+        if let Some(m) = self.metrics.iter_mut().find(|m| m.name == "ok_frac") {
+            m.value = ok_frac;
+        }
         // Keep the printed order the catalogue's.
         self.metrics
             .sort_by_key(|m| want.iter().position(|(n, _)| *n == m.name));
@@ -208,15 +223,110 @@ pub fn peak_rss_mib() -> Option<f64> {
     Some(kib / 1024.0)
 }
 
-/// Runs `step` (given the repetition index) until `budget` has passed
-/// since the call, at least `min` times. Repetition 0 is the warm-up:
-/// it is checked like the others but the caller discards its timings.
-pub fn repeat(budget: Duration, min: usize, mut step: impl FnMut(usize)) {
+/// What one repetition timed, as measured.
+#[derive(Debug, Default)]
+pub struct Rep {
+    /// Set-up before the timed region (s).
+    pub setup_s: f64,
+    /// The timed region (s).
+    pub wall_s: f64,
+    /// Frames the timed region delivered.
+    pub frames: usize,
+    /// Host latencies (ms) the repetition sampled.
+    pub latency_ms: Vec<f64>,
+    /// A calibration (ms) taken right before the latencies were sampled,
+    /// when they were sampled after the timed region: they are then
+    /// normalised by it and the calibration that closes the repetition.
+    pub latency_calib_ms: Option<f64>,
+}
+
+/// A run's host-time samples, one per measured repetition, in
+/// reference time (see [`calib`](crate::calib)).
+#[derive(Debug, Default)]
+pub struct Reps {
+    pub setup_s: Vec<f64>,
+    pub fps: Vec<f64>,
+    pub traced_fps: Vec<f64>,
+    /// Each untraced measured repetition's latencies.
+    pub latency_ms: Vec<Vec<f64>>,
+    /// Each measured repetition's calibration time (ms).
+    calib_ms: Vec<f64>,
+    /// `fps` and `setup_s` as measured.
+    raw_fps: Vec<f64>,
+    raw_setup_s: Vec<f64>,
+}
+
+/// Runs repetitions of `step` until `budget` has passed and at least
+/// `min_measured` untraced repetitions were measured (two traced and
+/// two untraced in a traced run). `step(i, trace_this)` sets up, runs
+/// the timed region, checks it and returns its timings, or `None` when
+/// it did not complete. Repetition 0 is the warm-up: checked, not
+/// measured. A traced run alternates untraced and traced repetitions.
+/// Each repetition is bracketed by two calibrations, and its times are
+/// normalised by their mean.
+pub fn run_reps(
+    budget: Duration,
+    traced: bool,
+    min_measured: usize,
+    mut step: impl FnMut(usize, bool) -> Option<Rep>,
+) -> Reps {
+    let min_reps = if traced { 5 } else { 1 + min_measured };
+    let mut reps = Reps::default();
     let start = Instant::now();
-    let mut done = 0;
-    while done < min || start.elapsed() < budget {
-        step(done);
-        done += 1;
+    let mut i = 0;
+    while i < min_reps || start.elapsed() < budget {
+        let trace_this = traced && i % 2 == 1;
+        let before = calib::calibrate();
+        let rep = step(i, trace_this);
+        let after = calib::calibrate();
+        let calib_ms = (before + after) / 2.0;
+        let scale = calib::REFERENCE_MS / calib_ms;
+        match rep {
+            Some(rep) if trace_this => {
+                reps.traced_fps
+                    .push(rep.frames as f64 / (rep.wall_s * scale));
+            }
+            Some(rep) if i > 0 => {
+                reps.calib_ms.push(calib_ms);
+                reps.raw_fps.push(rep.frames as f64 / rep.wall_s);
+                reps.fps.push(rep.frames as f64 / (rep.wall_s * scale));
+                reps.setup_s.push(rep.setup_s * scale);
+                reps.raw_setup_s.push(rep.setup_s);
+                let latency_scale = rep
+                    .latency_calib_ms
+                    .map_or(scale, |c| 2.0 * calib::REFERENCE_MS / (c + after));
+                reps.latency_ms
+                    .push(rep.latency_ms.iter().map(|ms| ms * latency_scale).collect());
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    reps
+}
+
+impl Reps {
+    /// `frames_per_s` and `setup_s`: medians over the repetitions.
+    pub fn end_to_end(&self, report: &mut Report) {
+        report.note("repetitions", self.fps.len());
+        report.note("reference_ms", calib::REFERENCE_MS);
+        report.note("calibration_ms_samples", json_array(&self.calib_ms));
+        report.note("raw_frames_per_s_samples", json_array(&self.raw_fps));
+        report.note("raw_setup_s_samples", json_array(&self.raw_setup_s));
+        report.metric("frames_per_s", stats::median(&self.fps).unwrap_or(0.0));
+        report.metric("setup_s", stats::median(&self.setup_s).unwrap_or(0.0));
+    }
+
+    /// `trace.overhead_frac`: traced against untraced `frames_per_s`.
+    pub fn overhead(&self, report: &mut Report) {
+        let untraced = stats::median(&self.fps).unwrap_or(0.0);
+        let traced = stats::median(&self.traced_fps).unwrap_or(0.0);
+        report.metric("trace.overhead_frac", 1.0 - traced / untraced);
+    }
+
+    /// Every repetition's latencies in one sample.
+    pub fn pooled_latency(&self) -> Vec<f64> {
+        self.latency_ms.concat()
     }
 }
 
@@ -269,32 +379,35 @@ pub fn execute_on(
 }
 
 /// Solo execute times (ms) of `count` frames of `stream`, from frame
-/// `start` on (wrapping), appended to `out`: each frame's service time
-/// on the simulator. `Session::stream` hands every frame back at once,
-/// so a frame's latency to the caller is its place in the batch; the
-/// workloads take these samples between repetitions instead, spread
-/// over the whole run.
+/// `start` on (wrapping), with a calibration taken right before them:
+/// each frame's service time on the simulator. `Session::stream` hands
+/// every frame back at once, so a frame's latency to the caller is its
+/// place in the batch; the workloads take these samples after each
+/// repetition's timed region instead, spread over the whole run.
 pub fn sample_service(
     session: &mut Session,
     stream: &StreamReport,
     exec: &ExecuteOptions,
     start: usize,
     count: usize,
-    out: &mut Vec<f64>,
-) {
+) -> (Vec<f64>, f64) {
+    let calib_ms = calib::calibrate();
     let frames = &stream.frames;
     if frames.is_empty() {
-        return;
+        return (Vec::new(), calib_ms);
     }
-    for k in 0..count {
-        let frame = &frames[(start + k) % frames.len()];
-        let design = session
-            .compiled(frame.scheduled_elements)
-            .expect("streamed design is cached");
-        let t0 = Instant::now();
-        std::hint::black_box(design.execute(std::hint::black_box(exec)));
-        out.push(secs(t0) * 1e3);
-    }
+    let samples = (0..count)
+        .map(|k| {
+            let frame = &frames[(start + k) % frames.len()];
+            let design = session
+                .compiled(frame.scheduled_elements)
+                .expect("streamed design is cached");
+            let t0 = Instant::now();
+            std::hint::black_box(design.execute(std::hint::black_box(exec)));
+            secs(t0) * 1e3
+        })
+        .collect();
+    (samples, calib_ms)
 }
 
 /// `exec.<engine>.*` for one engine: per-call p50/p99 (ms) and host ns
@@ -406,11 +519,12 @@ pub fn certify_all<'a>(
 
 /// Notes each span name's total self time and writes the run's spans
 /// under the build directory of the checkout.
-pub fn write_spans(workload: &str, seed: u64, spans: &[Span], report: &mut Report) {
+pub fn write_spans(workload: &str, seed: u64, tracer: &Tracer, report: &mut Report) {
     let dir = std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| ".bench_build".to_owned());
     let path = std::path::Path::new(&dir)
         .join("perfbench-trace")
         .join(format!("{workload}-seed{seed}.jsonl"));
+    let spans = &tracer.spans();
     let self_ns = trace::self_times(spans);
     let mut by_layer: Vec<(&str, u64)> = Vec::new();
     for (span, ns) in spans.iter().zip(self_ns) {
@@ -437,11 +551,13 @@ pub struct StreamTrace {
     pub pulls: Vec<Pull>,
     pub lookups: Vec<Lookup>,
     /// From the pull that ended the stream to the call's return: the
-    /// execute phase, which `Session::stream` runs after it has pulled
-    /// and compiled every frame.
+    /// window of the execute phase, which `Session::stream` runs after
+    /// it has pulled and compiled every frame. The executes inside it
+    /// happen past any probe, so the window also holds the phase's own
+    /// orchestration (spawning workers, assembling the report).
     pub exec_phase_ms: f64,
-    /// Wall time no child span covers: the stream's own orchestration.
-    pub unattributed_ms: f64,
+    /// Time in the pull and lookup spans.
+    pub children_ms: f64,
     /// Per frame: from its compile finishing to the execute phase
     /// starting.
     pub queue_ms: Vec<f64>,
@@ -477,7 +593,7 @@ pub fn traced_stream<S: FrameSource>(
     let children_ms = pull_ms(&pulls) + lookups.iter().map(|l| l.ns as f64).sum::<f64>() / 1e6;
     let trace = StreamTrace {
         wall_ms,
-        unattributed_ms: (wall_ms - children_ms - exec_phase_ms).max(0.0),
+        children_ms,
         exec_phase_ms,
         queue_ms: lookups
             .iter()
@@ -565,7 +681,7 @@ pub fn designs(
         .collect()
 }
 
-/// `ok_frac`, `peak_rss_mib` and the sim metrics over `frames`.
+/// `peak_rss_mib` and the sim metrics over `frames`.
 pub fn sim_metrics<'a>(report: &mut Report, frames: impl Iterator<Item = &'a FrameReport>) {
     let (mut n, mut cycles, mut uj, mut onchip) = (0u64, 0u64, 0.0, 0u64);
     for f in frames {
@@ -575,10 +691,6 @@ pub fn sim_metrics<'a>(report: &mut Report, frames: impl Iterator<Item = &'a Fra
         onchip = onchip.max(f.report.onchip_bytes());
     }
     let n = n.max(1) as f64;
-    report.metric(
-        "ok_frac",
-        (report.attempted - report.failed) as f64 / report.attempted.max(1) as f64,
-    );
     report.metric("peak_rss_mib", peak_rss_mib().unwrap_or(0.0));
     report.metric("sim_cycles_per_frame", cycles as f64 / n);
     report.metric("energy_uj_per_frame", uj / n);
@@ -594,6 +706,40 @@ pub fn latency_metrics(report: &mut Report, samples_ms: &[f64], q: f64) {
     report.check("the latency tail has ten samples beyond it", tail.is_some());
     report.metric("latency_p50_ms", stats::median(samples_ms).unwrap_or(0.0));
     report.metric("latency_tail_ms", tail.unwrap_or(0.0));
+}
+
+/// `stream.unattributed_ms` and `trace.covered_frac` of traced streams:
+/// their wall time less the pull and lookup spans and less the execute
+/// time the phase would take with nothing around it — Σ solo execute
+/// over the frames, `solo_sum_ms`, spread over `parallel` workers. The
+/// executes run inside `Session::stream`, out of a probe's reach, so
+/// their share is inferred from solo times, not measured in place: what
+/// remains is orchestration plus any slowdown of in-run executes against
+/// solo ones (`exec.inflation`).
+pub fn stream_coverage(
+    report: &mut Report,
+    traces: &[StreamTrace],
+    solo_sum_ms: f64,
+    parallel: usize,
+) {
+    let wall: f64 = traces.iter().map(|t| t.wall_ms).sum();
+    let children: f64 = traces.iter().map(|t| t.children_ms).sum();
+    let unattributed = wall - children - solo_sum_ms / parallel.max(1) as f64;
+    report.metric("stream.unattributed_ms", unattributed);
+    report.metric("trace.covered_frac", 1.0 - unattributed / wall);
+    report.note("stream_ms", wall);
+}
+
+/// `bucket.*` over `streams`, each with its chunk count.
+pub fn bucket_metrics(report: &mut Report, streams: &[(&StreamReport, u64)]) {
+    let keys: usize = streams.iter().map(|(s, n)| compile_keys(s, *n).len()).sum();
+    let scheduled: u64 = streams.iter().map(|(s, _)| s.scheduled_elements()).sum();
+    let source: u64 = streams.iter().map(|(s, _)| s.source_elements()).sum();
+    report.metric("bucket.distinct_keys", keys as f64);
+    report.metric(
+        "bucket.overhead_frac",
+        scheduled as f64 / source.max(1) as f64 - 1.0,
+    );
 }
 
 /// `sim.*` counters over `frames`.

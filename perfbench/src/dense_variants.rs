@@ -21,10 +21,10 @@ use streamgrid_core::source::{
 use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
 
 use crate::common::{
-    certify_all, check_stream, compile_keys, designs, engine_metrics, hit_us, host_threads,
-    json_array, latency_metrics, lidar_stream, lookup_metrics, pull_gaps_us, pull_metrics, pull_ms,
-    repeat, sample_service, secs, sim_counters, sim_metrics, traced_stream, write_spans, Report,
-    StreamTrace,
+    bucket_metrics, certify_all, check_stream, compile_keys, designs, engine_metrics, hit_us,
+    host_threads, json_array, latency_metrics, lidar_stream, lookup_metrics, pull_gaps_us,
+    pull_metrics, pull_ms, run_reps, sample_service, secs, sim_counters, sim_metrics,
+    stream_coverage, traced_stream, write_spans, Rep, Report, StreamTrace,
 };
 use crate::probes::{drain, Log, Lookup, TimedCache, TimedSource};
 use crate::stats;
@@ -120,13 +120,11 @@ pub fn run(seed: u64, budget: Duration, traced: bool) -> Report {
     let mut report = Report::default();
     let mut baselines: Option<Vec<StreamReport>> = None;
     let mut last_sessions: Vec<Session> = Vec::new();
-    let (mut setup_s, mut fps, mut traced_fps) = (Vec::new(), Vec::new(), Vec::new());
     let (mut gaps, mut hits) = (Vec::new(), Vec::new());
-    let mut latency = Vec::new();
     let mut last_traced = None;
 
-    repeat(budget, if traced { 4 } else { 3 }, |i| {
-        let trace_this = traced && i % 2 == 1;
+    let min_measured = LATENCY_SAMPLES.div_ceil(LATENCY_PER_REPETITION);
+    let reps = run_reps(budget, traced, min_measured, |i, trace_this| {
         let lookups: Log<Lookup> = Log::default();
         let t0 = Instant::now();
         let mut setup = set_up(
@@ -134,7 +132,7 @@ pub fn run(seed: u64, budget: Duration, traced: bool) -> Report {
             if trace_this { &tracer } else { &untraced },
             trace_this.then_some(&lookups),
         );
-        let setup_time = secs(t0);
+        let setup_s = secs(t0);
         let compile_lookups = drain(&lookups);
         let replay = &setup.sizes;
         let t1 = Instant::now();
@@ -142,21 +140,15 @@ pub fn run(seed: u64, budget: Duration, traced: bool) -> Report {
         let mut traces = Vec::new();
         for session in &mut setup.sessions {
             if trace_this {
-                let (result, trace) = traced_stream(
-                    &tracer,
-                    session,
-                    ReplaySource::new(replay),
-                    &options,
-                    &lookups,
-                );
+                let source = ReplaySource::new(replay);
+                let (result, trace) = traced_stream(&tracer, session, source, &options, &lookups);
                 traces.push(trace);
                 streams.push(result);
             } else {
                 streams.push(session.stream(ReplaySource::new(replay), &options));
             }
         }
-        let wall = secs(t1);
-        let frames = (FRAMES * VARIANTS.len()) as f64;
+        let wall_s = secs(t1);
         for (v, result) in streams.iter().enumerate() {
             let first = baselines.as_ref().map(|b| &b[v]);
             let label = format!("repetition {i} {}", VARIANTS[v]);
@@ -170,34 +162,31 @@ pub fn run(seed: u64, budget: Duration, traced: bool) -> Report {
                 Some(0),
             );
         }
+        let streams: Vec<StreamReport> = streams.into_iter().collect::<Result<_, _>>().ok()?;
+        let mut rep = Rep {
+            setup_s,
+            wall_s,
+            frames: FRAMES * VARIANTS.len(),
+            ..Rep::default()
+        };
         if trace_this {
-            traced_fps.push(frames / wall);
             for t in &traces {
                 gaps.extend(pull_gaps_us(&t.pulls));
                 hits.extend(hit_us(&t.lookups));
             }
             last_traced = Some((setup, streams, traces, compile_lookups));
-            return;
+            return Some(rep);
         }
-        if let (true, Ok(csdt)) = (i > 0, &streams[2]) {
-            setup_s.push(setup_time);
-            fps.push(frames / wall);
-            if !traced {
-                let start = latency.len();
-                sample_service(
-                    &mut setup.sessions[2],
-                    csdt,
-                    &exec,
-                    start,
-                    LATENCY_PER_REPETITION,
-                    &mut latency,
-                );
-            }
+        if !traced {
+            let first = i * LATENCY_PER_REPETITION;
+            let csdt = &mut setup.sessions[2];
+            let (samples, calib_ms) =
+                sample_service(csdt, &streams[2], &exec, first, LATENCY_PER_REPETITION);
+            (rep.latency_ms, rep.latency_calib_ms) = (samples, Some(calib_ms));
         }
-        if baselines.is_none() && streams.iter().all(Result::is_ok) {
-            baselines = Some(streams.into_iter().map(|r| r.expect("checked")).collect());
-        }
+        baselines.get_or_insert(streams);
         last_sessions = setup.sessions;
+        Some(rep)
     });
 
     let Some(streams) = baselines else {
@@ -223,7 +212,6 @@ pub fn run(seed: u64, budget: Duration, traced: bool) -> Report {
             report.check("a traced repetition completed", false);
             return report.finish(true);
         };
-        let streams: Vec<StreamReport> = streams.into_iter().flatten().collect();
         layer_metrics(
             &mut report,
             &tracer,
@@ -240,20 +228,15 @@ pub fn run(seed: u64, budget: Duration, traced: bool) -> Report {
             &gaps,
             &hits,
         );
-        let untraced = stats::median(&fps).unwrap_or(0.0);
-        let with_trace = stats::median(&traced_fps).unwrap_or(0.0);
-        report.metric("trace.overhead_frac", 1.0 - with_trace / untraced);
-        write_spans("dense-variants", seed, &tracer.since(0), &mut report);
+        reps.overhead(&mut report);
+        write_spans("dense-variants", seed, &tracer, &mut report);
         return report.finish(true);
     }
 
     let (certify_ms, accepted) = certify_all(&Tracer::off(), designs.iter().flatten());
     report.check("every design's certificate accepts", accepted);
     report.note("certify_ms", certify_ms);
-    report.note("frames_per_s_samples", json_array(&fps));
-    report.note("setup_s_samples", json_array(&setup_s));
-    report.metric("frames_per_s", stats::median(&fps).unwrap_or(0.0));
-    report.metric("setup_s", stats::median(&setup_s).unwrap_or(0.0));
+    reps.end_to_end(&mut report);
     let (base, csdt) = (&streams[0], &streams[2]);
     sim_metrics(&mut report, csdt.frames.iter());
     report.metric("onchip_saving_frac", 1.0 - mean_onchip[2] / mean_onchip[0]);
@@ -268,19 +251,7 @@ pub fn run(seed: u64, budget: Duration, traced: bool) -> Report {
         .map(|s| s.total_uj() / s.frame_count().max(1) as f64)
         .collect();
     report.note("energy_uj_per_frame", json_array(&uj));
-    // Top up when the budget allowed too few repetitions.
-    while latency.len() < LATENCY_SAMPLES {
-        let (start, missing) = (latency.len(), LATENCY_SAMPLES - latency.len());
-        sample_service(
-            &mut last_sessions[2],
-            csdt,
-            &exec,
-            start,
-            missing,
-            &mut latency,
-        );
-    }
-    latency_metrics(&mut report, &latency, LATENCY_QUANTILE);
+    latency_metrics(&mut report, &reps.pooled_latency(), LATENCY_QUANTILE);
     report.finish(false)
 }
 
@@ -323,18 +294,8 @@ fn layer_metrics(
     lookups.extend(traces.iter().flat_map(|t| t.lookups.iter().copied()));
     lookup_metrics(report, &lookups, hits);
     // Bucketing over the three streams together.
-    let keys: u64 = streams
-        .iter()
-        .zip(&chunks)
-        .map(|(s, &n)| compile_keys(s, n).len() as u64)
-        .sum();
-    let scheduled: u64 = streams.iter().map(|s| s.scheduled_elements()).sum();
-    let source: u64 = streams.iter().map(|s| s.source_elements()).sum();
-    report.metric("bucket.distinct_keys", keys as f64);
-    report.metric(
-        "bucket.overhead_frac",
-        scheduled as f64 / source.max(1) as f64 - 1.0,
-    );
+    let with_chunks: Vec<_> = streams.iter().zip(chunks.iter().copied()).collect();
+    bucket_metrics(report, &with_chunks);
     let (certify_ms, accepted) = certify_all(tracer, designs.iter().flatten());
     report.check("every design's certificate accepts", accepted);
     report.metric("certify.ms", certify_ms);
@@ -356,15 +317,11 @@ fn layer_metrics(
         phase_ms * workers.min(FRAMES) as f64 / solo_sum,
     );
     sim_counters(report, streams.iter().flat_map(|s| &s.frames));
-    let unattributed: f64 = traces.iter().map(|t| t.unattributed_ms).sum();
-    let wall: f64 = traces.iter().map(|t| t.wall_ms).sum();
-    report.metric("stream.unattributed_ms", unattributed);
+    stream_coverage(report, &traces, solo_sum, workers.min(FRAMES));
     report.metric("admit.ms", setup.admit_ms);
     let queue: Vec<f64> = traces.iter().flat_map(|t| t.queue_ms.clone()).collect();
     report.metric("queue.ms_mean", stats::mean(&queue).unwrap_or(0.0));
     report.metric("shed.frames", 0.0);
     report.metric("degraded.frames", 0.0);
-    report.metric("trace.covered_frac", 1.0 - unattributed / wall);
     report.note("exec_phase_ms", phase_ms);
-    report.note("stream_ms", wall);
 }

@@ -15,6 +15,7 @@
 //! untraced and traced repetitions and reports the per-layer metrics
 //! (README.md lists both sets and what each should move).
 
+mod calib;
 mod common;
 mod dense_variants;
 mod lidar_cold;
@@ -176,5 +177,44 @@ mod tests {
         );
         report.failed = 1;
         assert!(result_line(&report).starts_with("{\"correct\": false"));
+    }
+
+    /// A check that fails after the repetitions (a run-level check)
+    /// counts every offered frame failed, so `ok_frac` falls with
+    /// `correct`.
+    #[test]
+    fn a_failed_run_level_check_zeroes_ok_frac() {
+        let full = |report: &mut Report| {
+            for (name, _) in END_TO_END.iter().filter(|(n, _)| *n != "ok_frac") {
+                report.metric(name, 1.0);
+            }
+        };
+        let mut clean = Report {
+            attempted: 10,
+            failed: 2,
+            ..Report::default()
+        };
+        full(&mut clean);
+        let clean = clean.finish(false);
+        let ok = |r: &Report| {
+            r.metrics
+                .iter()
+                .find(|m| m.name == "ok_frac")
+                .unwrap()
+                .value
+        };
+        assert_eq!(clean.failed, 2);
+        assert_eq!(ok(&clean), 0.8);
+
+        let mut broken = Report {
+            attempted: 10,
+            ..Report::default()
+        };
+        full(&mut broken);
+        broken.check("identity against a direct stream", false);
+        let broken = broken.finish(false);
+        assert!(!broken.correct());
+        assert_eq!(broken.failed, 10);
+        assert_eq!(ok(&broken), 0.0);
     }
 }

@@ -25,7 +25,7 @@ use streamgrid_serve::{QosClass, ServerConfig, ServerReport, StreamServer, Tenan
 
 use crate::common::{
     certify_all, engine_metrics, hit_us, json_array, lookup_metrics, mix, pull_gaps_us,
-    pull_metrics, pull_ms, repeat, secs, sim_counters, sim_metrics, Report,
+    pull_metrics, pull_ms, run_reps, secs, sim_counters, sim_metrics, write_spans, Rep, Report,
 };
 use crate::probes::{drain, Log, Lookup, Pull, TimedCache, TimedSource};
 use crate::stats;
@@ -33,15 +33,20 @@ use crate::trace::Tracer;
 
 const TENANTS: usize = 256;
 
-/// Frames each tenant streams: 5120 in all, over 1000 per class.
-const FRAMES_PER_TENANT: u64 = 20;
+/// Frames each tenant streams: 10 240 in all, over 2000 per class, so
+/// each repetition's Interactive p99 has twenty samples beyond it.
+const FRAMES_PER_TENANT: u64 = 40;
 
 /// Multiples of the 4-chunk split, so the compile keys are exactly
 /// `SIZES × pipelines`.
 const SIZES: [u64; 3] = [1200, 2400, 3600];
 
 /// The Interactive tail each repetition reports.
-const LATENCY_QUANTILE: f64 = 0.99;
+/// It is the p95: over four runs on a 2-core VM the per-run medians of
+/// the Interactive p99 spread 0.09 of their median and those of the p95
+/// 0.05 — a p99 of 2080 frames catches the host's millisecond stalls —
+/// so the p99 goes to the diagnostics.
+const LATENCY_QUANTILE: f64 = 0.95;
 
 const DOMAINS: [AppDomain; 2] = [AppDomain::Classification, AppDomain::Registration];
 
@@ -210,13 +215,10 @@ pub fn run(seed: u64, budget: Duration, traced: bool) -> Report {
     let mut report = Report::default();
     let mut baseline: Option<ServerReport> = None;
     let mut last_cache = None;
-    let (mut setup_s, mut fps, mut traced_fps) = (Vec::new(), Vec::new(), Vec::new());
-    let (mut p50, mut p99, mut bg_p99) = (Vec::new(), Vec::new(), Vec::new());
     let mut gaps = Vec::new();
     let mut last_traced = None;
 
-    repeat(budget, if traced { 4 } else { 3 }, |i| {
-        let trace_this = traced && i % 2 == 1;
+    let reps = run_reps(budget, traced, 1, |i, trace_this| {
         let (lookups, pulls): (Log<Lookup>, Log<Pull>) = Default::default();
         let t0 = Instant::now();
         let setup = set_up(
@@ -225,7 +227,7 @@ pub fn run(seed: u64, budget: Duration, traced: bool) -> Report {
             trace_this.then_some(&lookups),
             trace_this.then_some(&pulls),
         );
-        let setup_time = secs(t0);
+        let setup_s = secs(t0);
         let Setup {
             server,
             cache,
@@ -235,35 +237,39 @@ pub fn run(seed: u64, budget: Duration, traced: bool) -> Report {
         let span = if trace_this { &tracer } else { &untraced }.span("server.run");
         let t1 = Instant::now();
         let run = server.run();
-        let wall = secs(t1);
+        let wall_s = secs(t1);
         drop(span);
-        let frames = run.frame_count() as f64;
+        let label = format!("repetition {i}");
         check_run(
             &mut report,
-            &format!("repetition {i}"),
+            &label,
             &run,
             admitted,
             &cache,
             baseline.as_ref(),
         );
+        let interactive = &run.class(QosClass::Interactive).latency;
+        let rep = Rep {
+            setup_s,
+            wall_s,
+            frames: run.frame_count() as usize,
+            latency_ms: vec![
+                interactive.p50_ms,
+                interactive.p95_ms,
+                interactive.p99_ms,
+                run.class(QosClass::Background).latency.p99_ms,
+            ],
+            latency_calib_ms: None,
+        };
         if trace_this {
-            traced_fps.push(frames / wall);
             let pulls = drain(&pulls);
             gaps.extend(pull_gaps_us(&pulls));
-            last_traced = Some((run, cache, wall * 1e3, submit_ms, pulls, drain(&lookups)));
-            return;
+            last_traced = Some((run, cache, wall_s * 1e3, submit_ms, pulls, drain(&lookups)));
+        } else {
+            baseline.get_or_insert(run);
+            last_cache = Some(cache);
         }
-        if i > 0 {
-            setup_s.push(setup_time);
-            fps.push(frames / wall);
-            p50.push(run.class(QosClass::Interactive).latency.p50_ms);
-            p99.push(run.class(QosClass::Interactive).latency.p99_ms);
-            bg_p99.push(run.class(QosClass::Background).latency.p99_ms);
-        }
-        if baseline.is_none() {
-            baseline = Some(run);
-        }
-        last_cache = Some(cache);
+        Some(rep)
     });
 
     let (Some(run), Some(cache)) = (baseline, last_cache) else {
@@ -346,10 +352,12 @@ pub fn run(seed: u64, budget: Duration, traced: bool) -> Report {
             &mut report,
             run.tenants.iter().flat_map(|t| &t.stream.frames),
         );
-        // The scheduler thread's wall time that neither its pulls nor
-        // the workers' execution (spread over the pool) account for.
-        let unattributed =
-            (wall_ms - pull_ms(&pulls) - exec_sum / run.workers.max(1) as f64).max(0.0);
+        // The run's wall time that neither the scheduler's pulls nor the
+        // workers' execution spread over the pool account for. The
+        // execution share is inferred from the server's own per-class
+        // execute means, not from spans: the executes run inside the
+        // server, out of a probe's reach.
+        let unattributed = wall_ms - pull_ms(&pulls) - exec_sum / run.workers.max(1) as f64;
         report.metric("stream.unattributed_ms", unattributed);
         report.metric("admit.ms", submit_ms);
         report.metric("queue.ms_mean", class_sum(|l| l.mean_queue_ms) / frames);
@@ -370,17 +378,12 @@ pub fn run(seed: u64, budget: Duration, traced: bool) -> Report {
             );
         }
         report.note("workers", run.workers);
-        let untraced_fps = stats::median(&fps).unwrap_or(0.0);
-        let with_trace = stats::median(&traced_fps).unwrap_or(0.0);
-        report.metric("trace.overhead_frac", 1.0 - with_trace / untraced_fps);
-        crate::common::write_spans("server-mixed", seed, &tracer.since(0), &mut report);
+        reps.overhead(&mut report);
+        write_spans("server-mixed", seed, &tracer, &mut report);
         return report.finish(true);
     }
 
-    report.note("frames_per_s_samples", json_array(&fps));
-    report.note("setup_s_samples", json_array(&setup_s));
-    report.metric("frames_per_s", stats::median(&fps).unwrap_or(0.0));
-    report.metric("setup_s", stats::median(&setup_s).unwrap_or(0.0));
+    reps.end_to_end(&mut report);
     sim_metrics(
         &mut report,
         run.tenants.iter().flat_map(|t| &t.stream.frames),
@@ -406,19 +409,22 @@ pub fn run(seed: u64, budget: Duration, traced: bool) -> Report {
     report.check("CS+DT uses less energy than Base", uj_c < uj_b);
     report.metric("onchip_saving_frac", 1.0 - onchip_c / onchip_b);
     report.metric("energy_saving_frac", 1.0 - uj_c / uj_b);
-    // Interactive enqueue → completion, per repetition (≥ 1000 samples
-    // each, so the p99 has ten beyond it); medians across repetitions.
+    // Interactive enqueue → completion, per repetition (≥ 2000 samples
+    // each); medians across repetitions.
     let interactive = run.class(QosClass::Interactive).latency.frames as usize;
     report.check(
-        "Interactive p99 has ten samples beyond it",
+        "the Interactive tail has ten samples beyond it",
         stats::samples_beyond(interactive, LATENCY_QUANTILE) >= stats::MIN_BEYOND,
     );
     report.note("latency_samples", interactive);
-    report.note("repetitions", p50.len());
-    report.note("background_p99_ms", stats::median(&bg_p99).unwrap_or(0.0));
     report.note("latency_tail_quantile", LATENCY_QUANTILE);
-    report.metric("latency_p50_ms", stats::median(&p50).unwrap_or(0.0));
-    report.metric("latency_tail_ms", stats::median(&p99).unwrap_or(0.0));
+    let per_rep = |k: usize| -> Vec<f64> { reps.latency_ms.iter().map(|l| l[k]).collect() };
+    let across = |k: usize| stats::median(&per_rep(k)).unwrap_or(0.0);
+    report.note("latency_tail_ms_samples", json_array(&per_rep(1)));
+    report.note("interactive_p99_ms", across(2));
+    report.note("background_p99_ms", across(3));
+    report.metric("latency_p50_ms", across(0));
+    report.metric("latency_tail_ms", across(1));
     report.finish(false)
 }
 

@@ -121,21 +121,14 @@ impl Tracer {
             });
     }
 
-    /// Every span recorded at or after cursor `from`, with parents
-    /// re-based so index 0 is the first returned span (a parent recorded
-    /// before `from` becomes `None`).
-    pub fn since(&self, from: usize) -> Vec<Span> {
-        let Some(log) = &self.log else {
-            return Vec::new();
-        };
-        let spans = log.spans.lock().expect("span log is never poisoned");
-        spans[from.min(spans.len())..]
-            .iter()
-            .map(|s| Span {
-                parent: s.parent.and_then(|p| p.checked_sub(from)),
-                ..s.clone()
-            })
-            .collect()
+    /// Every span recorded so far.
+    pub fn spans(&self) -> Vec<Span> {
+        self.log.as_ref().map_or_else(Vec::new, |log| {
+            log.spans
+                .lock()
+                .expect("span log is never poisoned")
+                .clone()
+        })
     }
 }
 
@@ -276,7 +269,7 @@ mod tests {
         }
         let _after = tracer.span("after");
         drop(_after);
-        let spans = tracer.since(0);
+        let spans = tracer.spans();
         let names: Vec<_> = spans.iter().map(|s| (s.name, s.parent)).collect();
         assert_eq!(
             names,
@@ -291,10 +284,6 @@ mod tests {
         assert!(spans.iter().all(|s| s.end_ns >= s.start_ns));
         let selfs = self_times(&spans);
         assert!(selfs[0] <= spans[0].duration_ns());
-        // A cursor re-bases parents.
-        let tail = tracer.since(1);
-        assert_eq!(tail[0].parent, None);
-        assert_eq!(tail.len(), 3);
     }
 
     #[test]
@@ -303,6 +292,6 @@ mod tests {
         let guard = tracer.span("x");
         guard.frame(1);
         drop(guard);
-        assert!(tracer.since(0).is_empty());
+        assert!(tracer.spans().is_empty());
     }
 }
