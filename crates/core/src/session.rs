@@ -15,8 +15,11 @@
 //!
 //! [`InMemoryCache`]: crate::cache::InMemoryCache
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+
+use streamgrid_sim::BackoffStats;
 
 use crate::cache::{spec_fingerprint, CompileRequest, InMemoryCache, ScheduleCache};
 use crate::framework::{CompiledPipeline, ExecuteOptions, ExecutionReport};
@@ -222,12 +225,20 @@ impl Session {
     /// delta — with a cache shared across concurrently-streaming
     /// sessions the delta can include their solves too).
     ///
-    /// With [`StreamOptions::workers`] > 1 the frame *executions* fan
+    /// Each distinct compiled design executes once per stream, and its
+    /// report fills every frame that bucketed to it. That is exact: all
+    /// frames share one [`ExecuteOptions`] (variable-latency seed
+    /// included) and deterministic termination makes a design's timing
+    /// independent of its input, so a frame's report depends on its
+    /// design alone. Frames that reuse a report carry zeroed
+    /// [`BackoffStats`], since no engine ran for them.
+    ///
+    /// With [`StreamOptions::workers`] > 1 the design *executions* fan
     /// out across that many scoped threads. Frames are pulled and
     /// compiled on the calling thread in arrival order (so solver
-    /// accounting is unchanged), each execution writes an ordered result
-    /// slot, and execution is deterministic — the report is bit-identical
-    /// to the sequential one.
+    /// accounting is unchanged), each frame gets an ordered result
+    /// slot, and execution is deterministic — the report is
+    /// bit-identical to the sequential one.
     ///
     /// # Errors
     ///
@@ -389,24 +400,56 @@ impl Session {
 /// returning reports in input order — the one executor behind
 /// [`Session::stream`] and [`Session::run_batch_parallel`].
 ///
-/// `workers <= 1` runs inline. Otherwise at most
-/// `min(workers, jobs)` scoped threads drain a shared index counter
-/// (a thousand-frame stream never spawns a thousand threads); each
-/// worker returns its `(index, report)` pairs through its join handle
-/// and the results land in their ordered slots. Execution is
-/// deterministic, so the output is bit-identical for every worker
-/// count.
+/// Each distinct design runs **once**. Under shared options a frame's
+/// report is a function of its compiled design alone: deterministic
+/// termination fixes pipeline timing regardless of the input, and the
+/// variable-latency model draws from the options' seed, which every
+/// frame shares. So frames are grouped by design ([`group_by_design`])
+/// and each design's report is copied into all of its frames' ordered
+/// slots. Only the first frame of a design keeps the run's
+/// [`BackoffStats`] — no engine ran for the copies, so they carry
+/// zeros and [`StreamReport::total_backoff`] sums each run once. Those
+/// host-scheduling counters are outside report equality, so every
+/// report still equals a fresh [`CompiledPipeline::execute`].
 fn execute_ordered(
     compiled: &[Arc<CompiledPipeline>],
     options: &ExecuteOptions,
     workers: usize,
 ) -> Vec<ExecutionReport> {
-    let workers = workers.min(compiled.len());
+    let (designs, slots) = group_by_design(compiled);
+    let mut runs = execute_each(&designs, options, workers);
+    slots
+        .into_iter()
+        .map(|d| {
+            let report = runs[d].clone();
+            // Later frames of the design reuse the run: no engine, no backoff.
+            runs[d].run.backoff = BackoffStats::default();
+            report
+        })
+        .collect()
+}
+
+/// Executes every design under shared `options`, returning reports in
+/// input order.
+///
+/// `workers <= 1` runs inline. Otherwise at most
+/// `min(workers, designs)` scoped threads drain a shared index counter
+/// (a thousand-design stream never spawns a thousand threads); each
+/// worker returns its `(index, report)` pairs through its join handle
+/// and the results land in their ordered slots. Execution is
+/// deterministic, so the output is bit-identical for every worker
+/// count.
+fn execute_each(
+    designs: &[&Arc<CompiledPipeline>],
+    options: &ExecuteOptions,
+    workers: usize,
+) -> Vec<ExecutionReport> {
+    let workers = workers.min(designs.len());
     if workers <= 1 {
-        return compiled.iter().map(|c| c.execute(options)).collect();
+        return designs.iter().map(|c| c.execute(options)).collect();
     }
     let next = AtomicUsize::new(0);
-    let mut reports: Vec<Option<ExecutionReport>> = vec![None; compiled.len()];
+    let mut reports: Vec<Option<ExecutionReport>> = vec![None; designs.len()];
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
@@ -414,10 +457,10 @@ fn execute_ordered(
                     let mut done = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= compiled.len() {
+                        if i >= designs.len() {
                             break;
                         }
-                        done.push((i, compiled[i].execute(options)));
+                        done.push((i, designs[i].execute(options)));
                     }
                     done
                 })
@@ -433,6 +476,28 @@ fn execute_ordered(
         .into_iter()
         .map(|r| r.expect("every index was drained from the queue"))
         .collect()
+}
+
+/// Groups frames by the design they compiled to: the distinct designs
+/// in first-seen order, and for every frame the index of its design in
+/// that list. Identity is the `Arc` pointer — every [`ScheduleCache`]
+/// hands out the same `Arc` on a hit, and a cache that rebuilt an equal
+/// design would only group less, never wrongly.
+fn group_by_design(
+    compiled: &[Arc<CompiledPipeline>],
+) -> (Vec<&Arc<CompiledPipeline>>, Vec<usize>) {
+    let mut index: HashMap<*const CompiledPipeline, usize> = HashMap::new();
+    let mut designs = Vec::new();
+    let slots = compiled
+        .iter()
+        .map(|c| {
+            *index.entry(Arc::as_ptr(c)).or_insert_with(|| {
+                designs.push(c);
+                designs.len() - 1
+            })
+        })
+        .collect();
+    (designs, slots)
 }
 
 #[cfg(test)]
@@ -643,6 +708,84 @@ mod tests {
                 .unwrap();
             assert_eq!(parallel, sequential, "{workers} workers changed the report");
         }
+    }
+
+    #[test]
+    fn grouping_runs_each_design_once_in_first_seen_order() {
+        let mut s = csdt4().session(AppDomain::Classification.spec());
+        let a = s.compiled(4 * 300).unwrap();
+        let b = s.compiled(4 * 450).unwrap();
+        let c = s.compiled(4 * 600).unwrap();
+        let frames = [&b, &a, &b, &c, &a, &b].map(Arc::clone);
+        let (designs, slots) = group_by_design(&frames);
+        assert_eq!(designs.len(), 3, "three designs, three executions");
+        for (got, want) in designs.iter().zip([&b, &a, &c]) {
+            assert!(Arc::ptr_eq(got, want));
+        }
+        assert_eq!(slots, [0, 1, 0, 2, 1, 0]);
+        // An equal design behind a different `Arc` only groups less.
+        let twins = [Arc::clone(&a), Arc::new((*a).clone())];
+        let (designs, slots) = group_by_design(&twins);
+        assert_eq!(designs.len(), 2);
+        assert_eq!(slots, [0, 1]);
+    }
+
+    #[test]
+    fn repeated_designs_report_like_fresh_executions() {
+        use crate::source::{ReplaySource, SizeBucketing, StreamOptions};
+
+        // Quantize(1200) folds twelve sizes onto two designs.
+        let sizes: Vec<u64> = (0..12u64).map(|i| 4000 + 100 * i).collect();
+        let exec = ExecuteOptions::for_spec(&AppDomain::Classification.spec());
+        for config in [
+            StreamGridConfig::cs_dt(SplitConfig::linear(4, 2)),
+            StreamGridConfig::base(),
+        ] {
+            let fw = StreamGrid::new(config);
+            for workers in [1usize, 2, 4] {
+                let options =
+                    StreamOptions::bucketed(SizeBucketing::Quantize(1200)).with_workers(workers);
+                let mut s = fw.session(AppDomain::Classification.spec());
+                let report = s.stream(ReplaySource::new(&sizes), &options).unwrap();
+                assert_eq!(report.frame_count(), sizes.len() as u64);
+                for frame in &report.frames {
+                    let fresh = fw
+                        .compile_spec(&AppDomain::Classification.spec(), frame.scheduled_elements)
+                        .unwrap()
+                        .execute(&exec);
+                    assert_eq!(frame.report, fresh, "{config:?}, {workers} workers");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reused_reports_carry_no_backoff() {
+        use crate::framework::ExecMode;
+        use crate::source::{ReplaySource, StreamOptions};
+
+        let spec = AppDomain::Classification.spec();
+        // Unclamped, so the shards are real threads on any host.
+        let exec = ExecuteOptions::for_spec(&spec)
+            .with_exec_mode(ExecMode::Sharded(2))
+            .with_shard_clamp(false);
+        let mut s = StreamGrid::new(StreamGridConfig::base()).session(spec);
+        let sizes = [4 * 300, 4 * 450, 4 * 300, 4 * 300, 4 * 450];
+        let report = s
+            .stream(
+                ReplaySource::new(&sizes),
+                &StreamOptions::default().with_exec(exec).with_workers(2),
+            )
+            .unwrap();
+        let firsts = [&report.frames[0], &report.frames[1]];
+        for reused in &report.frames[2..] {
+            assert_eq!(reused.report.run.backoff, BackoffStats::default());
+        }
+        let mut ran = BackoffStats::default();
+        for first in firsts {
+            ran.merge(&first.report.run.backoff);
+        }
+        assert_eq!(report.total_backoff(), ran, "each run counted once");
     }
 
     #[test]

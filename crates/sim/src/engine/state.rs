@@ -23,28 +23,38 @@ use super::stats::{BackoffStats, RunReport};
 use super::{BufferPolicy, EngineConfig, GlobalLatencyModel};
 
 /// Integer-exact rational rate accumulator: emits `num/den` elements per
-/// cycle on average, never fractionally.
+/// cycle on average, never fractionally. The rate is kept as
+/// `quot + rem/den`, so a step is an add and a compare, not a division;
+/// `acc` (always `< den`) is the remainder `k·num mod den` after `k`
+/// steps.
 #[derive(Debug, Clone)]
 pub(super) struct RateAcc {
-    num: u64,
+    quot: u64,
+    rem: u64,
     den: u64,
     acc: u64,
 }
 
 impl RateAcc {
     fn new(rate: Rate) -> Self {
+        let num = rate.num().max(0) as u64;
+        let den = rate.den().max(1) as u64;
         RateAcc {
-            num: rate.num().max(0) as u64,
-            den: rate.den().max(1) as u64,
+            quot: num / den,
+            rem: num % den,
+            den,
             acc: 0,
         }
     }
 
     fn step(&mut self) -> u64 {
-        self.acc += self.num;
-        let out = self.acc / self.den;
-        self.acc %= self.den;
-        out
+        self.acc += self.rem;
+        if self.acc >= self.den {
+            self.acc -= self.den;
+            self.quot + 1
+        } else {
+            self.quot
+        }
     }
 
     fn reset(&mut self) {
@@ -232,9 +242,17 @@ pub(super) fn step_stage<IO: EdgeIo>(
                 let cap = if stage.read_total > 0 {
                     let vol = edge_volume[e] as u128;
                     let read_total = stage.read_total as u128;
-                    let done_share = (stage.read_done as u128 * vol).div_ceil(read_total) as u64;
+                    let read_done = stage.read_done as u128;
                     let written = edge_volume[e] - remaining;
-                    done_share.saturating_sub(written)
+                    // ⌈read_done·vol/read_total⌉ ≥ written + want exactly
+                    // when read_done·vol > (written + want − 1)·read_total:
+                    // the cap does not bind, so skip the division.
+                    if read_done * vol > (written + want - 1) as u128 * read_total {
+                        want
+                    } else {
+                        let done_share = (read_done * vol).div_ceil(read_total) as u64;
+                        done_share.saturating_sub(written)
+                    }
                 } else {
                     want
                 };
@@ -568,7 +586,9 @@ impl EngineState {
         }
         self.sram_dynamic_bytes += acct.sram_dynamic_bytes;
         self.compute_elements += acct.compute_elements;
-        self.dram.read(acct.dram_read_bytes);
+        if acct.dram_read_bytes > 0 {
+            self.dram.read(acct.dram_read_bytes);
+        }
         if acct.stalled {
             self.stall_cycles += 1;
         }

@@ -143,18 +143,6 @@ impl Certificate {
     }
 }
 
-/// Cumulative allowance through cycle `t` for a track that starts at
-/// cycle `start` and advances `rate` elements per cycle, clamped to
-/// `volume`: `clamp(⌊(t − start + 1)·num/den⌋, 0, volume)`.
-fn allowance(t: i128, start: i128, rate: Rate, volume: u64) -> i128 {
-    let k = t - start + 1;
-    if k <= 0 {
-        return 0;
-    }
-    let raw = k * rate.num() as i128 / rate.den() as i128;
-    raw.min(volume as i128)
-}
-
 /// Certifies `bounds` against the worst-case discrete occupancy of
 /// every edge over the chunk lattice `start_cycles[stage] + c·period`
 /// for `c` in `0..n_chunks`.
@@ -245,25 +233,18 @@ fn edge_peak(
     let t_min = w0.min(r0) - 1;
     let t_max = (w0 + wd).max(r0 + rd) + (k - 1) * ii;
 
-    let writes = |t: i128| -> i128 {
-        (0..k)
-            .map(|c| allowance(t, w0 + c * ii, e.tau_out, e.volume))
-            .sum()
-    };
-    let reads = |t: i128| -> i128 {
-        (0..k)
-            .map(|c| allowance(t, r0 + c * ii, e.tau_in, e.volume))
-            .sum()
-    };
-
-    let mut prev_w = writes(t_min - 1);
+    // Both track sets sit at cycle t_min − 1, before any chunk starts,
+    // so the writes through it are zero.
+    let mut writes = Tracks::new(t_min - 1, w0, ii, k, e.tau_out, e.volume);
+    let mut reads = Tracks::new(t_min - 1, r0, ii, k, e.tau_in, e.volume);
+    let mut prev_w = 0i128;
     let mut delta = 0i128;
     let mut peak = 0i128;
     let mut peak_delta = 0i128;
     let mut witness = t_min;
     for t in t_min..=t_max {
-        let w = writes(t);
-        let r = reads(t);
+        let w = writes.step();
+        let r = reads.step();
         // Reads at cycle t see writes through t−1; any allowance beyond
         // that is a transient the discrete stepper can carry forward as
         // extra occupancy once the producer catches up.
@@ -279,9 +260,159 @@ fn edge_peak(
     (peak, peak_delta.max(0), witness as i64, k as u64)
 }
 
+/// The summed allowance curves of `chunks` tracks, chunk `c` starting
+/// at cycle `start + c·II`, stepped one cycle at a time without
+/// division. After `k` active cycles a track has been allowed
+/// `⌊k·num/den⌋` elements (clamped to the volume); it keeps that as a
+/// quotient `q` and a remainder `k·num mod den`, so a step adds the
+/// rate's own quotient and remainder and carries once. Every track
+/// shares one rate and volume, so tracks start and saturate in chunk
+/// order: the started, unsaturated ones are the window `lo..hi`.
+struct Tracks {
+    t: i128,
+    next_start: i128,
+    ii: i128,
+    chunks: usize,
+    quot: i128,
+    rem: i128,
+    den: i128,
+    volume: i128,
+    /// Per-chunk `(quotient, remainder)`.
+    acc: Vec<(i128, i128)>,
+    lo: usize,
+    hi: usize,
+}
+
+impl Tracks {
+    /// Tracks positioned at cycle `t`, which must precede `start`.
+    fn new(t: i128, start: i128, ii: i128, chunks: i128, rate: Rate, volume: u64) -> Self {
+        debug_assert!(t < start, "tracks start before any chunk");
+        let (num, den) = (rate.num() as i128, rate.den() as i128);
+        Tracks {
+            t,
+            next_start: start,
+            ii,
+            chunks: chunks as usize,
+            quot: num / den,
+            rem: num % den,
+            den,
+            volume: volume as i128,
+            acc: vec![(0, 0); chunks as usize],
+            lo: 0,
+            hi: 0,
+        }
+    }
+
+    /// Advances one cycle; returns the summed allowance through it.
+    fn step(&mut self) -> i128 {
+        self.t += 1;
+        while self.hi < self.chunks && self.next_start <= self.t {
+            self.hi += 1;
+            self.next_start += self.ii;
+        }
+        let mut active = 0;
+        for (q, r) in &mut self.acc[self.lo..self.hi] {
+            *q += self.quot;
+            *r += self.rem;
+            if *r >= self.den {
+                *r -= self.den;
+                *q += 1;
+            }
+            active += *q;
+        }
+        // Earlier chunks lead later ones, so saturation peels off the front.
+        while self.lo < self.hi && self.acc[self.lo].0 >= self.volume {
+            active -= self.acc[self.lo].0;
+            self.lo += 1;
+        }
+        self.lo as i128 * self.volume + active
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Cumulative allowance through cycle `t` for a track that starts at
+    /// cycle `start` and advances `rate` elements per cycle, clamped to
+    /// `volume`: `clamp(⌊(t − start + 1)·num/den⌋, 0, volume)` — the
+    /// closed form [`Tracks`] steps incrementally.
+    fn allowance(t: i128, start: i128, rate: Rate, volume: u64) -> i128 {
+        let k = t - start + 1;
+        if k <= 0 {
+            return 0;
+        }
+        let raw = k * rate.num() as i128 / rate.den() as i128;
+        raw.min(volume as i128)
+    }
+
+    /// [`edge_peak`] evaluated straight from [`allowance`]: the
+    /// reference the division-free tracks must reproduce.
+    fn edge_peak_reference(
+        e: &CertEdge,
+        start_cycles: &[u64],
+        ii: i128,
+        n_chunks: u64,
+    ) -> (i128, i128, i64, u64) {
+        let w0 = (start_cycles[e.producer] + e.depth) as i128;
+        let r0 = start_cycles[e.consumer] as i128;
+        let wd = e.tau_out.cycles_for(e.volume) as i128;
+        let rd = e.tau_in.cycles_for(e.volume) as i128;
+        let span = (w0 + wd).max(r0 + rd) - w0.min(r0);
+        let k = (n_chunks as i128).min(span / ii + 2).max(1);
+        let t_min = w0.min(r0) - 1;
+        let t_max = (w0 + wd).max(r0 + rd) + (k - 1) * ii;
+        let writes = |t: i128| -> i128 {
+            (0..k)
+                .map(|c| allowance(t, w0 + c * ii, e.tau_out, e.volume))
+                .sum()
+        };
+        let reads = |t: i128| -> i128 {
+            (0..k)
+                .map(|c| allowance(t, r0 + c * ii, e.tau_in, e.volume))
+                .sum()
+        };
+        let mut prev_w = writes(t_min - 1);
+        let (mut delta, mut peak, mut peak_delta, mut witness) = (0i128, 0i128, 0i128, t_min);
+        for t in t_min..=t_max {
+            let (w, r) = (writes(t), reads(t));
+            delta = delta.max(r - prev_w);
+            let occ = w - r + delta;
+            if occ > peak {
+                peak = occ;
+                peak_delta = delta;
+                witness = t;
+            }
+            prev_w = w;
+        }
+        (peak, peak_delta.max(0), witness as i64, k as u64)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn tracks_match_the_allowance_reference(
+            (out_num, out_den, in_num, in_den) in (1i64..24, 1i64..24, 1i64..24, 1i64..24),
+            (producer_start, consumer_start, depth) in (0u64..60, 0u64..120, 0u64..12),
+            volume in 0u64..400,
+            (period, n_chunks) in (1u64..80, 1u64..16),
+        ) {
+            let e = local_edge(
+                rate(out_num, out_den),
+                rate(in_num, in_den),
+                volume,
+                depth,
+            );
+            let starts = [producer_start, consumer_start];
+            let ii = period as i128;
+            prop_assert_eq!(
+                edge_peak(&e, &starts, ii, n_chunks),
+                edge_peak_reference(&e, &starts, ii, n_chunks)
+            );
+        }
+    }
 
     fn rate(num: i64, den: i64) -> Rate {
         Rate::new(num, den)
