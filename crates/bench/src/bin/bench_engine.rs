@@ -13,13 +13,6 @@
 //! `--only <substring>` keeps only the pipelines whose registry name
 //! contains the substring (composes with `--smoke`, whose sweep sizes
 //! it leaves untouched).
-//!
-//! A second sweep pits the sharded per-cycle engine
-//! (`ExecMode::Sharded(n)`) against the oracle on the registration
-//! preset at long chunk counts, asserting bit-identity at every shard
-//! count and recording the wall-time ratio. Sharded speedups only
-//! materialize on multi-core hosts — every record carries
-//! `host_threads` so a ~1× row on a 1-core runner reads as what it is.
 
 use std::time::{Duration, Instant};
 
@@ -34,13 +27,7 @@ use streamgrid_core::StreamGrid;
 const CHUNK_ELEMENTS: u64 = 300;
 
 fn timed_run(session: &mut Session, elements: u64, mode: ExecMode) -> (ExecutionReport, Duration) {
-    // The bench deliberately runs the *requested* shard count, clamp
-    // off: oversubscription rows (Sharded(8) on a 1-core runner) are
-    // exactly what the backoff tiers exist to keep survivable, and the
-    // default clamp would silently fold them into Sharded(1).
-    let options = ExecuteOptions::for_spec(session.spec())
-        .with_exec_mode(mode)
-        .with_shard_clamp(false);
+    let options = ExecuteOptions::for_spec(session.spec()).with_exec_mode(mode);
     let t0 = Instant::now();
     let report = session
         .run_with(elements, &options)
@@ -126,77 +113,6 @@ fn main() {
             );
         }
     }
-
-    // Sweep 2: sharded engine vs the oracle on one preset at chunk
-    // counts long enough that per-cycle stepping dominates. Every shard
-    // count must reproduce the oracle's report bit for bit; wall-time
-    // ratios are only meaningful when `host_threads` offers real cores.
-    let host_threads = streamgrid_bench::report::host_threads();
-    let shard_chunks: &[u64] = if smoke { &[16] } else { &[256, 8192] };
-    let shard_counts: &[u32] = if smoke { &[1, 2, 8] } else { &[1, 2, 4, 8] };
-    let spec = streamgrid_core::apps::AppDomain::Registration.spec();
-    if !selected(spec.name()) {
-        let path = report.write_default().expect("report file is writable");
-        println!(
-            "\nwrote {} records to {} (--only {:?} skipped the sharded sweep)",
-            report.len(),
-            path.display(),
-            only.as_deref().unwrap_or("")
-        );
-        return;
-    }
-    println!(
-        "\n{:<16} {:>8} {:>8} {:>10} {:>12} {:>13} {:>9}",
-        "pipeline", "chunks", "shards", "cycles", "oracle (ms)", "sharded (ms)", "ratio"
-    );
-    for &n in shard_chunks {
-        let fw = StreamGrid::new(StreamGridConfig::cs_dt(SplitConfig::linear(n as u32, 2)));
-        let mut session = fw.session(spec.clone());
-        let elements = n * CHUNK_ELEMENTS;
-        let compiled = session.compiled(elements).expect("CS+DT design compiles");
-        let t_cert = Instant::now();
-        let cert = compiled.certify();
-        let certify_ms = t_cert.elapsed().as_secs_f64() * 1e3;
-        assert!(
-            cert.accepted(),
-            "{}/{n}: schedule certificate rejected:\n{}",
-            spec.name(),
-            cert.render()
-        );
-        let (oracle, t_oracle) = timed_run(&mut session, elements, ExecMode::CycleAccurate);
-        report.push(
-            RunRecord::from_report(spec.name(), n, elements, &oracle, t_oracle)
-                .with_certify_ms(certify_ms),
-        );
-        for &shards in shard_counts {
-            let (sharded, t_sharded) = timed_run(&mut session, elements, ExecMode::Sharded(shards));
-            assert_eq!(
-                oracle.run,
-                sharded.run,
-                "{}/{n} at {shards} shards: sharded engine diverged from the oracle",
-                spec.name()
-            );
-            assert!(sharded.is_clean());
-            println!(
-                "{:<16} {:>8} {:>8} {:>10} {:>12.3} {:>13.3} {:>8.1}x",
-                spec.name(),
-                n,
-                shards,
-                sharded.run.cycles,
-                t_oracle.as_secs_f64() * 1e3,
-                t_sharded.as_secs_f64() * 1e3,
-                t_oracle.as_secs_f64() / t_sharded.as_secs_f64().max(1e-9)
-            );
-            report.push(
-                RunRecord::from_report(spec.name(), n, elements, &sharded, t_sharded)
-                    .with_certify_ms(certify_ms),
-            );
-        }
-    }
-    println!(
-        "sharded rows ran on {host_threads} host thread{} — expect ~1x ratios below 2",
-        if host_threads == 1 { "" } else { "s" }
-    );
 
     let path = report.write_default().expect("report file is writable");
     println!("\nwrote {} records to {}", report.len(), path.display());

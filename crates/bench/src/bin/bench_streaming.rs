@@ -12,10 +12,7 @@
 //! 2. **Workers** — the LiDAR stream re-runs with frame executions
 //!    fanned across `StreamOptions::workers` threads; the harness
 //!    asserts the parallel `StreamReport` is bit-identical to the
-//!    sequential one and records the wall-clock speedup. A companion
-//!    sweep shards each frame's engine loop (`ExecMode::Sharded(s)`,
-//!    intra-frame parallelism) under the same bit-identity assertion,
-//!    including one shards × workers compose row in the full sweep.
+//!    sequential one and records the wall-clock speedup.
 //! 3. **Schedule cache** — the same stream through a `FileCache`: a
 //!    cold directory pays the solves and persists them, a fresh session
 //!    over the warm directory pays **zero** (asserted), so solve reuse
@@ -339,100 +336,6 @@ fn main() {
                 if cores == 1 { "" } else { "s" }
             );
         }
-    }
-
-    // Sweep 2b: intra-frame sharding — the same dense replay with each
-    // frame's engine loop split across `ExecMode::Sharded(s)` threads
-    // (workers = 1, so the sweep isolates what sharding alone buys a
-    // single frame's latency). Reports must stay bit-identical to the
-    // sequential oracle baseline; in the full sweep one extra row
-    // composes shards with workers to show the two axes multiply.
-    let shard_counts: &[u32] = if !dense_selected {
-        &[]
-    } else if smoke {
-        &[1, 2, 8]
-    } else {
-        &[1, 2, 4, 8]
-    };
-    let mut shard_runs: Vec<(u32, usize)> = shard_counts.iter().map(|&s| (s, 1)).collect();
-    if !smoke && dense_selected {
-        shard_runs.push((2, 2)); // Sharded(2) × 2 workers
-    }
-    for (shards, workers) in shard_runs {
-        let baseline = sequential.as_ref().expect("sweep 2 recorded a baseline");
-        let mut session = fw.session(AppDomain::Registration.spec());
-        for &size in &replay_sizes {
-            session
-                .compiled(dense_policy.bucket(size))
-                .expect("CS+DT design compiles");
-        }
-        // Default clamp ON: the sweep records what a *user* asking for
-        // `Sharded(s)` actually gets — the progress-aware policy folds a
-        // request that oversubscribes the host down to the core count
-        // (`exec` keeps the requested label, `exec_effective` the engine
-        // that ran), which is what keeps Sharded(8) rows within ~2× of
-        // Sharded(1) on a 1-core runner. The raw oversubscribed engine
-        // is exercised clamp-off by `bench_engine`'s sharded sweep and
-        // the shard_backoff stress tests.
-        let exec = ExecuteOptions::for_spec(&AppDomain::Registration.spec())
-            .with_exec_mode(ExecMode::Sharded(shards));
-        let options = StreamOptions::bucketed(dense_policy)
-            .with_exec(exec)
-            .with_workers(workers);
-        let t0 = Instant::now();
-        let report = session
-            .stream(ReplaySource::new(&replay_sizes), &options)
-            .expect("sharded replay compiles and runs");
-        let wall = t0.elapsed();
-        let wall_ms = wall.as_secs_f64() * 1e3;
-        // The whole-report equality must be checked modulo the
-        // `exec_mode` tag each frame records — everything simulated
-        // (frames, schedules, run reports, energy) must be bit-equal.
-        assert_eq!(report.frame_count(), baseline.frame_count());
-        assert_eq!(report.solver_invocations, baseline.solver_invocations);
-        for (got, want) in report.frames.iter().zip(baseline.frames.iter()) {
-            assert_eq!(
-                (&got.frame, got.scheduled_elements),
-                (&want.frame, want.scheduled_elements)
-            );
-            assert_eq!(got.report.compile, want.report.compile);
-            assert_eq!(
-                got.report.run, want.report.run,
-                "Sharded({shards}) × {workers} workers changed frame {} — \
-                 the sharded engine is not bit-identical",
-                got.frame.id
-            );
-        }
-        let exec_label = format!("Sharded({shards})");
-        row(
-            AppDomain::Registration.spec().name(),
-            "lidar-dense",
-            dense_policy,
-            report.frame_count(),
-            report.solver_invocations,
-            workers as u64,
-            "private",
-            report.p50_frame_cycles(),
-            report.scheduled_elements() - report.source_elements(),
-            wall_ms,
-        );
-        println!(
-            "{:>16}   {exec_label} x {workers} worker(s): {:.2}x vs 1-worker oracle",
-            "",
-            sequential_wall / wall_ms.max(1e-9)
-        );
-        let certify_ms = certify_stream(&mut session, &report);
-        out.push(
-            StreamRecord::from_stream_report(
-                AppDomain::Registration.spec().name(),
-                "lidar-dense",
-                &report,
-                wall,
-            )
-            .with_workers(workers as u64)
-            .with_exec(&exec_label)
-            .with_certify_ms(certify_ms),
-        );
     }
 
     // Sweep 3: schedule-cache reuse — cold FileCache pays and persists

@@ -9,14 +9,13 @@
 //! any certificate rejects — warnings are reported but do not gate.
 //!
 //! `--mc` instead runs the unified concurrency model checker over
-//! every certified protocol in the workspace — the shard engine's SPSC
-//! counter ring and park/wake handshake, and the serving layer's
+//! every certified protocol in the workspace — the serving layer's
 //! work/space dispatch, ledger + FIFO waitlist, and WFQ pick. Each
 //! correct protocol must pass exhaustively (within an explicit
 //! per-model state budget — a truncated exploration is a failure, not
 //! a pass), and every seeded sabotage variant must be *caught* — a
 //! sabotage passing means a checker lost its teeth. Any FAIL or MISSED
-//! row exits nonzero. `--spsc` is kept as an alias for `--mc`.
+//! row exits nonzero.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -28,7 +27,6 @@ use streamgrid_serve::{
     check_dispatch, check_ledger, check_wfq, DispatchConfig, DispatchVariant, LedgerScenario,
     LedgerVariant, WfqConfig, WfqVariant,
 };
-use streamgrid_verify::spsc::{mc_park, mc_spsc, ParkConfig, ParkVariant, SpscConfig, Variant};
 use streamgrid_verify::{McConfig, McReport, Severity};
 
 /// Elements each chunk streams from the source (paper-scale points×3).
@@ -122,9 +120,7 @@ fn lint_presets() -> ExitCode {
 /// Every row runs under its model's budget, and a truncated exploration
 /// never passes — so silent state-space growth (a model edit that blows
 /// up exploration) fails CI instead of burning it.
-const BUDGETS: [(&str, u64); 5] = [
-    ("spsc-ring", 4_000),
-    ("park-wake", 1_000),
+const BUDGETS: [(&str, u64); 3] = [
     ("work-space-dispatch", 8_000),
     ("ledger-waitlist", 1_000),
     ("wfq-pick", 2_000),
@@ -178,54 +174,6 @@ fn check_mc_matrix() -> ExitCode {
         "model", "variant", "bounds", "states", "depth", "budget", "verdict"
     );
     let mc = |model: &str| McConfig::default().with_max_states(budget_for(model));
-
-    // Shard engine: the SPSC counter ring. The correct protocol must
-    // pass exhaustively at every bounded configuration (ring length ×
-    // items spanning the flow-control and finish interleavings), and
-    // each seeded bug must be caught.
-    for (ring_len, iterations) in [(1, 4), (2, 4), (2, 6), (3, 6), (4, 5)] {
-        let config = SpscConfig {
-            ring_len,
-            iterations,
-        };
-        let report = mc_spsc(&config, Variant::Correct, &mc("spsc-ring"));
-        failed |= !mc_row(
-            "correct",
-            &format!("ring {ring_len}x{iterations}"),
-            false,
-            &report,
-        );
-    }
-    for (label, variant) in [
-        ("publish-before-done", Variant::PublishBeforeDone),
-        ("flow-ctl-off-by-one", Variant::FlowControlOffByOne),
-    ] {
-        let config = SpscConfig {
-            ring_len: 2,
-            iterations: 4,
-        };
-        let report = mc_spsc(&config, variant, &mc("spsc-ring"));
-        failed |= !mc_row(label, "ring 2x4", true, &report);
-    }
-
-    // Shard engine: the park/wake backoff handshake, with the classic
-    // lost-wakeup sabotage (sleep without the flag recheck).
-    for iterations in [1u64, 2, 4, 6, 8] {
-        let report = mc_park(
-            &ParkConfig { iterations },
-            ParkVariant::Correct,
-            &mc("park-wake"),
-        );
-        failed |= !mc_row("correct", &format!("items {iterations}"), false, &report);
-    }
-    {
-        let report = mc_park(
-            &ParkConfig { iterations: 4 },
-            ParkVariant::WakeBeforeFlagRecheck,
-            &mc("park-wake"),
-        );
-        failed |= !mc_row("wake-before-recheck", "items 4", true, &report);
-    }
 
     // Serving layer: the scheduler↔worker two-condvar dispatch loop.
     let dispatch_bounds =
@@ -305,8 +253,7 @@ fn check_mc_matrix() -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    // `--spsc` predates the unified checker and is kept as an alias.
-    if std::env::args().any(|a| a == "--mc" || a == "--spsc") {
+    if std::env::args().any(|a| a == "--mc") {
         check_mc_matrix()
     } else {
         lint_presets()

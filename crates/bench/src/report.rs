@@ -43,15 +43,9 @@ pub struct RunRecord {
     pub n_chunks: u64,
     /// Source elements for the whole cloud.
     pub total_elements: u64,
-    /// Engine that ran (`"CycleAccurate"` / `"EventDriven"` /
-    /// `"Sharded(n)"`) — the *effective* engine after `Auto` resolution
-    /// and shard clamping.
+    /// Engine that ran (`"CycleAccurate"` / `"EventDriven"`) — the
+    /// *effective* engine after `Auto` resolution.
     pub exec_mode: String,
-    /// Engine selection the caller asked for (`"Auto"`,
-    /// `"Sharded(8)"`, …) before resolution — differs from
-    /// [`RunRecord::exec_mode`] exactly when the runtime resolved or
-    /// clamped the request.
-    pub exec_requested: String,
     /// Simulated cycles.
     pub cycles: u64,
     /// Distinct stalled cycles.
@@ -69,7 +63,7 @@ pub struct RunRecord {
     /// Host wall time of the engine run in milliseconds.
     pub wall_time_ms: f64,
     /// Hardware threads the host offered (`available_parallelism`);
-    /// wall times — especially for sharded or multi-worker runs — are
+    /// wall times — especially for multi-worker runs — are
     /// uninterpretable without it (a 1-core runner shows ~1× speedups
     /// however many threads a sweep asks for).
     pub host_threads: u64,
@@ -78,15 +72,6 @@ pub struct RunRecord {
     /// verifier's cost next to the run it certifies (0 when the harness
     /// did not certify).
     pub certify_ms: f64,
-    /// Sharded-engine tier-1 backoff: `spin_loop` iterations across all
-    /// shard waits (0 for sequential engines).
-    pub spins: u64,
-    /// Tier-2 backoff: `yield_now` calls across all shard waits.
-    pub yields: u64,
-    /// Tier-3 backoff: condvar parks (a shard thread actually slept).
-    pub parks: u64,
-    /// Wakes publishers issued to parked peers.
-    pub wakes: u64,
 }
 
 impl RunRecord {
@@ -105,7 +90,6 @@ impl RunRecord {
             n_chunks,
             total_elements,
             exec_mode: format!("{:?}", report.exec_mode),
-            exec_requested: format!("{:?}", report.exec_requested),
             cycles: report.run.cycles,
             stall_cycles: report.run.stall_cycles,
             starved_cycles: report.run.starved_cycles,
@@ -116,10 +100,6 @@ impl RunRecord {
             wall_time_ms: wall.as_secs_f64() * 1e3,
             host_threads: host_threads(),
             certify_ms: 0.0,
-            spins: report.run.backoff.spins,
-            yields: report.run.backoff.yields,
-            parks: report.run.backoff.parks,
-            wakes: report.run.backoff.wakes,
         }
     }
 
@@ -179,16 +159,14 @@ impl BenchReport {
             .map(|r| {
                 format!(
                     "{{\"pipeline\": {}, \"n_chunks\": {}, \"total_elements\": {}, \
-                     \"exec_mode\": {}, \"exec_requested\": {}, \"cycles\": {}, \
+                     \"exec_mode\": {}, \"cycles\": {}, \
                      \"stall_cycles\": {}, \"starved_cycles\": {}, \"truncated\": {}, \
                      \"onchip_bytes\": {}, \"dram_bytes\": {}, \"energy_uj\": {}, \
-                     \"wall_time_ms\": {}, \"host_threads\": {}, \"certify_ms\": {}, \
-                     \"spins\": {}, \"yields\": {}, \"parks\": {}, \"wakes\": {}}}",
+                     \"wall_time_ms\": {}, \"host_threads\": {}, \"certify_ms\": {}}}",
                     json_str(&r.pipeline),
                     r.n_chunks,
                     r.total_elements,
                     json_str(&r.exec_mode),
-                    json_str(&r.exec_requested),
                     r.cycles,
                     r.stall_cycles,
                     r.starved_cycles,
@@ -199,10 +177,6 @@ impl BenchReport {
                     json_f64(r.wall_time_ms),
                     r.host_threads,
                     json_f64(r.certify_ms),
-                    r.spins,
-                    r.yields,
-                    r.parks,
-                    r.wakes,
                 )
             })
             .collect();
@@ -261,31 +235,22 @@ pub struct StreamRecord {
     /// a `FileCache` sweep before and after its directory is populated).
     pub cache: String,
     /// Engine selection the sweep streamed under (`"Auto"` unless
-    /// overridden — e.g. `"Sharded(4)"` for intra-frame sharding). This
-    /// is the *requested* selection.
+    /// overridden — e.g. `"CycleAccurate"` for the oracle baseline).
+    /// This is the *requested* selection.
     pub exec: String,
     /// Engine the frames actually executed on after `Auto` resolution
-    /// and shard clamping (`"Mixed"` when frames disagree, `"-"` for an
-    /// empty stream) — differs from [`StreamRecord::exec`] exactly when
-    /// the runtime resolved or clamped the request.
+    /// (`"Mixed"` when frames disagree, `"-"` for an empty stream) —
+    /// differs from [`StreamRecord::exec`] exactly when the runtime
+    /// resolved the request.
     pub exec_effective: String,
     /// Hardware threads the host offered (`available_parallelism`) —
-    /// without it, identical wall times across a worker or shard sweep
-    /// cannot be told apart from a genuinely absent speedup.
+    /// without it, identical wall times across a worker sweep cannot be
+    /// told apart from a genuinely absent speedup.
     pub host_threads: u64,
     /// Wall time spent certifying the sweep's compiled schedules
     /// (`CompiledPipeline::certify`) in milliseconds (0 when the
     /// harness did not certify).
     pub certify_ms: f64,
-    /// Sharded-engine tier-1 backoff summed across all frames:
-    /// `spin_loop` iterations (0 for sequential engines).
-    pub spins: u64,
-    /// Tier-2 backoff summed across all frames: `yield_now` calls.
-    pub yields: u64,
-    /// Tier-3 backoff summed across all frames: condvar parks.
-    pub parks: u64,
-    /// Wakes publishers issued to parked peers, summed across frames.
-    pub wakes: u64,
 }
 
 impl StreamRecord {
@@ -316,7 +281,6 @@ impl StreamRecord {
                 }
             }
         };
-        let backoff = report.total_backoff();
         StreamRecord {
             pipeline: pipeline.to_owned(),
             source: source.to_owned(),
@@ -338,10 +302,6 @@ impl StreamRecord {
             exec_effective,
             host_threads: host_threads(),
             certify_ms: 0.0,
-            spins: backoff.spins,
-            yields: backoff.yields,
-            parks: backoff.parks,
-            wakes: backoff.wakes,
         }
     }
 
@@ -418,8 +378,7 @@ impl StreamBenchReport {
                      \"max_frame_cycles\": {}, \"energy_uj\": {}, \"all_clean\": {}, \
                      \"wall_time_ms\": {}, \"workers\": {}, \"cache\": {}, \
                      \"exec\": {}, \"exec_effective\": {}, \"host_threads\": {}, \
-                     \"certify_ms\": {}, \"spins\": {}, \"yields\": {}, \"parks\": {}, \
-                     \"wakes\": {}}}",
+                     \"certify_ms\": {}}}",
                     json_str(&r.pipeline),
                     json_str(&r.source),
                     json_str(&r.policy),
@@ -440,10 +399,6 @@ impl StreamBenchReport {
                     json_str(&r.exec_effective),
                     r.host_threads,
                     json_f64(r.certify_ms),
-                    r.spins,
-                    r.yields,
-                    r.parks,
-                    r.wakes,
                 )
             })
             .collect();
@@ -667,7 +622,6 @@ mod tests {
             n_chunks: 4,
             total_elements: 1200,
             exec_mode: "EventDriven".to_owned(),
-            exec_requested: "Auto".to_owned(),
             cycles: 1234,
             stall_cycles: 0,
             starved_cycles: 7,
@@ -678,10 +632,6 @@ mod tests {
             wall_time_ms: 0.5,
             host_threads: 2,
             certify_ms: 0.125,
-            spins: 0,
-            yields: 0,
-            parks: 0,
-            wakes: 0,
         }
     }
 
@@ -695,13 +645,8 @@ mod tests {
         assert!(json.contains("\"harness\": \"bench_engine\""));
         assert!(json.contains("\"pipeline\": \"classification\""));
         assert!(json.contains("\"exec_mode\": \"EventDriven\""));
-        assert!(json.contains("\"exec_requested\": \"Auto\""));
         assert!(json.contains("\"host_threads\": 2"));
         assert!(json.contains("\"certify_ms\": 0.125000"));
-        assert!(json.contains("\"spins\": 0"));
-        assert!(json.contains("\"yields\": 0"));
-        assert!(json.contains("\"parks\": 0"));
-        assert!(json.contains("\"wakes\": 0"));
         assert!(json.trim_end().ends_with('}'));
         // Two records, exactly one separating comma between them.
         assert_eq!(json.matches("\"pipeline\"").count(), 2);
@@ -740,14 +685,10 @@ mod tests {
             wall_time_ms: 12.0,
             workers: 4,
             cache: "file-warm".to_owned(),
-            exec: "Sharded(4)".to_owned(),
-            exec_effective: "Sharded(2)".to_owned(),
+            exec: "EventDriven".to_owned(),
+            exec_effective: "CycleAccurate".to_owned(),
             host_threads: 8,
             certify_ms: 0.25,
-            spins: 120,
-            yields: 34,
-            parks: 5,
-            wakes: 5,
         });
         let json = r.to_json();
         assert!(json.contains("\"harness\": \"bench_streaming\""));
@@ -756,14 +697,10 @@ mod tests {
         assert!(json.contains("\"all_clean\": true"));
         assert!(json.contains("\"workers\": 4"));
         assert!(json.contains("\"cache\": \"file-warm\""));
-        assert!(json.contains("\"exec\": \"Sharded(4)\""));
-        assert!(json.contains("\"exec_effective\": \"Sharded(2)\""));
+        assert!(json.contains("\"exec\": \"EventDriven\""));
+        assert!(json.contains("\"exec_effective\": \"CycleAccurate\""));
         assert!(json.contains("\"host_threads\": 8"));
         assert!(json.contains("\"certify_ms\": 0.250000"));
-        assert!(json.contains("\"spins\": 120"));
-        assert!(json.contains("\"yields\": 34"));
-        assert!(json.contains("\"parks\": 5"));
-        assert!(json.contains("\"wakes\": 5"));
         assert!(json.trim_end().ends_with('}'));
     }
 
@@ -846,11 +783,6 @@ mod tests {
             format!("{:?}", report.frames[0].report.exec_mode)
         );
         assert_ne!(record.exec_effective, "Auto");
-        // Sequential engines never touch the backoff tiers.
-        assert_eq!(
-            (record.spins, record.yields, record.parks, record.wakes),
-            (0, 0, 0, 0)
-        );
         assert_eq!(record.host_threads, host_threads());
         assert!(record.host_threads >= 1);
         assert_eq!(record.certify_ms, 0.0);
@@ -858,10 +790,10 @@ mod tests {
             .clone()
             .with_workers(8)
             .with_cache("file-cold")
-            .with_exec("Sharded(2)")
+            .with_exec("CycleAccurate")
             .with_certify_ms(1.5);
         assert_eq!((tagged.workers, tagged.cache.as_str()), (8, "file-cold"));
-        assert_eq!(tagged.exec, "Sharded(2)");
+        assert_eq!(tagged.exec, "CycleAccurate");
         assert_eq!(tagged.certify_ms, 1.5);
     }
 }

@@ -586,7 +586,8 @@ impl FileCache {
     /// written to a temp file and renamed into place, so a crash (or a
     /// concurrent process over the same directory) never publishes a
     /// torn entry — readers see either the old complete file or the new
-    /// one.
+    /// one. A write that fails part-way (a full disk) or a failed rename
+    /// removes the temp file, so failures leave nothing behind.
     fn store(&self, req: &CompileRequest<'_>, compiled: &CompiledPipeline) {
         let entry = format!(
             "{{\"version\": {}, \"chunk_elements\": {}, \"summary\": {}, \
@@ -608,7 +609,10 @@ impl FileCache {
             std::process::id(),
             WRITE_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        if fs::write(&tmp, entry).is_ok() && fs::rename(&tmp, &path).is_err() {
+        if fs::write(&tmp, entry)
+            .and_then(|()| fs::rename(&tmp, &path))
+            .is_err()
+        {
             let _ = fs::remove_file(&tmp);
         }
     }

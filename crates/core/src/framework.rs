@@ -10,7 +10,7 @@ use streamgrid_optimizer::{
 };
 use streamgrid_sim::{
     run_with, BufferPolicy, EnergyBreakdown, EnergyModel, EngineConfig, EngineMode,
-    GlobalLatencyModel, RingParams, RunReport,
+    GlobalLatencyModel, RunReport,
 };
 use streamgrid_verify::{lint_graph, Certificate, Diagnostic, LintContext, Severity};
 
@@ -126,13 +126,9 @@ pub enum ExecMode {
     /// The event-driven fast path where it is exact (deterministic
     /// termination); otherwise the run silently uses the oracle.
     EventDriven,
-    /// The sharded per-cycle engine with this many threads (exact under
-    /// every latency model; ≤ 1 runs the plain oracle).
-    Sharded(u32),
     /// The fastest exact engine for the compiled design: event-driven
-    /// under DT, the per-cycle oracle under variable latency. `Auto`
-    /// never picks [`ExecMode::Sharded`]: on a 2-core host `Sharded(2)`
-    /// ran at 0.19–0.4× the oracle's speed. The default.
+    /// under DT, the per-cycle oracle under variable latency. The
+    /// default.
     #[default]
     Auto,
 }
@@ -140,50 +136,12 @@ pub enum ExecMode {
 impl ExecMode {
     /// The concrete engine this mode resolves to for a design with the
     /// given latency model — what [`ExecutionReport::exec_mode`]
-    /// records. Reads the host's available parallelism; see
-    /// [`ExecMode::resolve_with`] for the pure policy.
+    /// records. An explicit `EventDriven` request falls back to the
+    /// oracle when the fast path would not be exact, exactly as the sim
+    /// layer does.
     pub fn resolve(self, latency: GlobalLatencyModel) -> EngineMode {
-        let host_threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        self.resolve_with(latency, host_threads)
-    }
-
-    /// [`ExecMode::resolve`] with the host thread count injected —
-    /// the policy itself, testable on any machine.
-    ///
-    /// An explicit `Sharded(n)` is **clamped to the host's cores**:
-    /// cutting the stage order into `min(n, host_threads)` contiguous
-    /// shards is exactly the contiguous-merge of the over-requested
-    /// partition, and results are shard-count-invariant, so the degrade
-    /// changes wall time only. On one core `Sharded(8)` executes as
-    /// `Sharded(1)` (the plain oracle) instead of thrashing eight
-    /// threads. The requested mode is recorded on
-    /// [`ExecutionReport::exec_requested`]; harnesses that *want* true
-    /// oversubscription (bench sweeps, stress tests) opt out via
-    /// [`ExecuteOptions::clamp_shards`] / [`ExecMode::resolve_uncapped`].
-    pub fn resolve_with(self, latency: GlobalLatencyModel, host_threads: usize) -> EngineMode {
-        match self {
-            ExecMode::Sharded(n) => {
-                EngineMode::Sharded(n.clamp(1, host_threads.max(1).min(u32::MAX as usize) as u32))
-            }
-            other => other.resolve_uncapped(latency),
-        }
-    }
-
-    /// [`ExecMode::resolve`] without the shard clamp: an explicit
-    /// `Sharded(n)` runs `n` threads even past the host's cores. The
-    /// tiered spin→yield→park backoff makes that safe (oversubscribed
-    /// shards sleep instead of burning cores), but it is still slower
-    /// than the clamped run — this path exists for harnesses measuring
-    /// exactly that.
-    pub fn resolve_uncapped(self, latency: GlobalLatencyModel) -> EngineMode {
         match self {
             ExecMode::CycleAccurate => EngineMode::CycleAccurate,
-            ExecMode::Sharded(n) => EngineMode::Sharded(n.max(1)),
-            // An explicit EventDriven request still falls back to the
-            // oracle when the fast path would not be exact, exactly as
-            // the sim layer does; the report records what actually ran.
             ExecMode::EventDriven | ExecMode::Auto => EngineMode::fastest_exact(latency),
         }
     }
@@ -204,13 +162,6 @@ pub struct ExecuteOptions {
     pub macs_per_element: f64,
     /// Engine selection ([`ExecMode::Auto`] by default).
     pub exec_mode: ExecMode,
-    /// When `true` (the default) an explicit [`ExecMode::Sharded`]
-    /// request is clamped to the host's cores — see
-    /// [`ExecMode::resolve_with`]. Set `false` to deliberately
-    /// oversubscribe (bench sweeps, backoff stress tests).
-    pub clamp_shards: bool,
-    /// Sharded-engine ring length and backoff tier budgets.
-    pub ring: RingParams,
 }
 
 impl Default for ExecuteOptions {
@@ -222,8 +173,6 @@ impl Default for ExecuteOptions {
             bytes_per_element: engine.bytes_per_element,
             macs_per_element: engine.macs_per_element,
             exec_mode: ExecMode::Auto,
-            clamp_shards: true,
-            ring: engine.ring,
         }
     }
 }
@@ -251,21 +200,6 @@ impl ExecuteOptions {
         self.exec_mode = mode;
         self
     }
-
-    /// Returns the options with the host-core shard clamp switched on
-    /// or off (`false` = honor `Sharded(n)` verbatim, oversubscribing
-    /// the host when `n` exceeds its cores).
-    pub fn with_shard_clamp(mut self, clamp: bool) -> Self {
-        self.clamp_shards = clamp;
-        self
-    }
-
-    /// Returns the options with the sharded-engine ring/backoff tuning
-    /// replaced.
-    pub fn with_ring(mut self, ring: RingParams) -> Self {
-        self.ring = ring;
-        self
-    }
 }
 
 /// The unified result of the whole Fig. 1 flow: what the compiler
@@ -284,12 +218,6 @@ pub struct ExecutionReport {
     /// not change results: both engines are bit-identical wherever both
     /// are exact.
     pub exec_mode: EngineMode,
-    /// The engine selection as *requested* ([`ExecuteOptions::
-    /// exec_mode`] verbatim). Differs from [`ExecutionReport::exec_mode`]
-    /// when `Auto` resolved, an `EventDriven` request fell back to the
-    /// oracle, or a `Sharded(n)` request was clamped to the host's
-    /// cores — the explicit record of every degrade.
-    pub exec_requested: ExecMode,
     /// Compile-time linter findings for the executed design.
     pub lints: LintSummary,
 }
@@ -594,11 +522,7 @@ impl CompiledPipeline {
                 BufferPolicy::Elastic,
             )
         };
-        let engine = if options.clamp_shards {
-            options.exec_mode.resolve(latency)
-        } else {
-            options.exec_mode.resolve_uncapped(latency)
-        };
+        let engine = options.exec_mode.resolve(latency);
         let run_report = run_with(
             &self.graph,
             &self.edges,
@@ -611,7 +535,6 @@ impl CompiledPipeline {
                 global_latency: latency,
                 buffer_policy: policy,
                 macs_per_element: options.macs_per_element,
-                ring: options.ring,
                 ..EngineConfig::default()
             },
             engine,
@@ -621,7 +544,6 @@ impl CompiledPipeline {
             energy: run_report.energy,
             run: run_report,
             exec_mode: engine,
-            exec_requested: options.exec_mode,
             lints: LintSummary::from_diagnostics(&self.lints),
         }
     }
@@ -802,70 +724,22 @@ mod tests {
     }
 
     #[test]
-    fn sharded_mode_is_bit_identical_on_both_latency_models() {
-        // Explicit sharding must reproduce the oracle exactly — on the
-        // deterministic CS+DT design and on the variable-latency Base
-        // design (where it is the only parallel exact engine).
-        for config in [
-            StreamGridConfig::cs_dt(SplitConfig::paper_cls()),
-            StreamGridConfig::base(),
-        ] {
-            let fw = StreamGrid::new(config);
-            let compiled = fw.compile(AppDomain::Classification, 9 * 300).unwrap();
-            let oracle = compiled
-                .execute(&ExecuteOptions::default().with_exec_mode(ExecMode::CycleAccurate));
-            for shards in [1u32, 2, 4, 8] {
-                // Unclamped, so shard counts past the host's cores still
-                // exercise real multi-thread runs (the parking backoff
-                // makes that safe); the requested mode is recorded.
-                let sharded = compiled.execute(
-                    &ExecuteOptions::default()
-                        .with_exec_mode(ExecMode::Sharded(shards))
-                        .with_shard_clamp(false),
-                );
-                assert_eq!(sharded.exec_mode, EngineMode::Sharded(shards));
-                assert_eq!(sharded.exec_requested, ExecMode::Sharded(shards));
-                assert_eq!(oracle.run, sharded.run, "shards = {shards}");
-            }
-        }
-    }
-
-    #[test]
-    fn auto_never_shards_and_explicit_shards_clamp_to_cores() {
-        use ExecMode::Auto;
+    fn resolve_picks_the_fastest_exact_engine() {
+        use EngineMode::{CycleAccurate as Oracle, EventDriven as Event};
+        let det = GlobalLatencyModel::Deterministic;
         let var = GlobalLatencyModel::Variable { cv: 0.8, seed: 1 };
-        // Auto picks the fastest exact sequential engine, however many
-        // cores the host has: event-driven under DT…
-        for host in [1, 2, 64] {
-            assert_eq!(
-                Auto.resolve_with(GlobalLatencyModel::Deterministic, host),
-                EngineMode::EventDriven
-            );
-            // …and the oracle under variable latency, never Sharded.
-            assert_eq!(Auto.resolve_with(var, host), EngineMode::CycleAccurate);
+        // (requested mode, latency model, engine that runs).
+        let table = [
+            (ExecMode::CycleAccurate, det, Oracle),
+            (ExecMode::CycleAccurate, var, Oracle),
+            (ExecMode::EventDriven, det, Event),
+            (ExecMode::EventDriven, var, Oracle),
+            (ExecMode::Auto, det, Event),
+            (ExecMode::Auto, var, Oracle),
+        ];
+        for (mode, latency, engine) in table {
+            assert_eq!(mode.resolve(latency), engine, "{mode:?} under {latency:?}");
         }
-        // Explicit shard requests are clamped to the host's cores: on a
-        // single-core host Sharded(6) degrades to the plain oracle
-        // (Sharded(1)) instead of thrashing six threads…
-        assert_eq!(
-            ExecMode::Sharded(6).resolve_with(var, 1),
-            EngineMode::Sharded(1)
-        );
-        assert_eq!(
-            ExecMode::Sharded(6).resolve_with(var, 4),
-            EngineMode::Sharded(4)
-        );
-        // …requests within the host's budget run verbatim…
-        assert_eq!(
-            ExecMode::Sharded(3).resolve_with(var, 8),
-            EngineMode::Sharded(3)
-        );
-        // …and the uncapped path honors the request for harnesses that
-        // deliberately oversubscribe.
-        assert_eq!(
-            ExecMode::Sharded(6).resolve_uncapped(var),
-            EngineMode::Sharded(6)
-        );
     }
 
     #[test]
@@ -898,7 +772,6 @@ mod tests {
             energy: tiny.energy,
             run: tiny,
             exec_mode: EngineMode::EventDriven,
-            exec_requested: ExecMode::EventDriven,
             lints: full.lints.clone(),
         };
         assert!(!report.is_clean());

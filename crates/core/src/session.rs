@@ -19,8 +19,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use streamgrid_sim::BackoffStats;
-
 use crate::cache::{spec_fingerprint, CompileRequest, InMemoryCache, ScheduleCache};
 use crate::framework::{CompiledPipeline, ExecuteOptions, ExecutionReport};
 use crate::pipeline::{CompileError, PipelineSpec};
@@ -230,8 +228,7 @@ impl Session {
     /// frames share one [`ExecuteOptions`] (variable-latency seed
     /// included) and deterministic termination makes a design's timing
     /// independent of its input, so a frame's report depends on its
-    /// design alone. Frames that reuse a report carry zeroed
-    /// [`BackoffStats`], since no engine ran for them.
+    /// design alone.
     ///
     /// With [`StreamOptions::workers`] > 1 the design *executions* fan
     /// out across that many scoped threads. Frames are pulled and
@@ -406,27 +403,15 @@ impl Session {
 /// variable-latency model draws from the options' seed, which every
 /// frame shares. So frames are grouped by design ([`group_by_design`])
 /// and each design's report is copied into all of its frames' ordered
-/// slots. Only the first frame of a design keeps the run's
-/// [`BackoffStats`] — no engine ran for the copies, so they carry
-/// zeros and [`StreamReport::total_backoff`] sums each run once. Those
-/// host-scheduling counters are outside report equality, so every
-/// report still equals a fresh [`CompiledPipeline::execute`].
+/// slots, so every report equals a fresh [`CompiledPipeline::execute`].
 fn execute_ordered(
     compiled: &[Arc<CompiledPipeline>],
     options: &ExecuteOptions,
     workers: usize,
 ) -> Vec<ExecutionReport> {
     let (designs, slots) = group_by_design(compiled);
-    let mut runs = execute_each(&designs, options, workers);
-    slots
-        .into_iter()
-        .map(|d| {
-            let report = runs[d].clone();
-            // Later frames of the design reuse the run: no engine, no backoff.
-            runs[d].run.backoff = BackoffStats::default();
-            report
-        })
-        .collect()
+    let runs = execute_each(&designs, options, workers);
+    slots.into_iter().map(|d| runs[d].clone()).collect()
 }
 
 /// Executes every design under shared `options`, returning reports in
@@ -757,35 +742,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn reused_reports_carry_no_backoff() {
-        use crate::framework::ExecMode;
-        use crate::source::{ReplaySource, StreamOptions};
-
-        let spec = AppDomain::Classification.spec();
-        // Unclamped, so the shards are real threads on any host.
-        let exec = ExecuteOptions::for_spec(&spec)
-            .with_exec_mode(ExecMode::Sharded(2))
-            .with_shard_clamp(false);
-        let mut s = StreamGrid::new(StreamGridConfig::base()).session(spec);
-        let sizes = [4 * 300, 4 * 450, 4 * 300, 4 * 300, 4 * 450];
-        let report = s
-            .stream(
-                ReplaySource::new(&sizes),
-                &StreamOptions::default().with_exec(exec).with_workers(2),
-            )
-            .unwrap();
-        let firsts = [&report.frames[0], &report.frames[1]];
-        for reused in &report.frames[2..] {
-            assert_eq!(reused.report.run.backoff, BackoffStats::default());
-        }
-        let mut ran = BackoffStats::default();
-        for first in firsts {
-            ran.merge(&first.report.run.backoff);
-        }
-        assert_eq!(report.total_backoff(), ran, "each run counted once");
     }
 
     #[test]

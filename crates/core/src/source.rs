@@ -442,17 +442,6 @@ impl StreamReport {
         self.frames.iter().map(|f| f.report.total_uj()).sum()
     }
 
-    /// Sharded-engine backoff telemetry summed across all frames (all
-    /// zeros when no frame ran sharded). Host-timing-dependent — useful
-    /// for explaining wall time, never part of result equality.
-    pub fn total_backoff(&self) -> streamgrid_sim::BackoffStats {
-        let mut total = streamgrid_sim::BackoffStats::default();
-        for f in &self.frames {
-            total.merge(&f.report.run.backoff);
-        }
-        total
-    }
-
     /// Frames executed per ILP solve paid — the amortization factor
     /// bucketing buys. Infinite when the whole stream hit the cache.
     pub fn frames_per_solve(&self) -> f64 {

@@ -57,6 +57,8 @@ pub use mc::{
 };
 pub use protocol::{admit_fifo, queued_admission, wfq_pick, QueuedDecision, WEIGHTS};
 pub use qos::QosClass;
-pub use report::{ClassReport, FrameLatency, LatencyStats, ServerReport, TenantReport};
+pub use report::{
+    ClassReport, FrameLatency, LatencyStats, ServerReport, SourcePanic, TenantReport,
+};
 pub use server::{ServerConfig, StreamServer};
 pub use tenant::{TenantId, TenantSpec};

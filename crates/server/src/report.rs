@@ -10,6 +10,9 @@
 //! [`StreamReport`]: streamgrid_core::source::StreamReport
 //! [`StreamReport::p99_frame_cycles`]: streamgrid_core::source::StreamReport::p99_frame_cycles
 
+use std::any::Any;
+use std::fmt;
+
 use streamgrid_core::framework::LintSummary;
 use streamgrid_core::nearest_rank;
 use streamgrid_core::pipeline::CompileError;
@@ -17,6 +20,44 @@ use streamgrid_core::source::StreamReport;
 
 use crate::qos::QosClass;
 use crate::tenant::TenantId;
+
+/// A tenant's [`FrameSource`] panicked while the scheduler pulled a
+/// frame. The server catches the unwind, ends that tenant, and keeps
+/// serving the others; frames pulled before the panic still complete
+/// and land on the tenant's report.
+///
+/// [`FrameSource`]: streamgrid_core::source::FrameSource
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SourcePanic {
+    /// Frames the tenant pulled successfully before the panicking pull.
+    pub frame: u64,
+    /// The panic payload when it was a string, else a placeholder.
+    pub message: String,
+}
+
+impl SourcePanic {
+    /// Records a panic caught on the pull after `frame` successful ones.
+    pub(crate) fn new(frame: u64, payload: &(dyn Any + Send)) -> Self {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_owned());
+        SourcePanic { frame, message }
+    }
+}
+
+impl fmt::Display for SourcePanic {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "frame source panicked pulling frame {}: {}",
+            self.frame, self.message
+        )
+    }
+}
+
+impl std::error::Error for SourcePanic {}
 
 /// One executed frame's wall-clock timing, split into the time it sat
 /// in its class queue and the time a worker spent executing it.
@@ -112,6 +153,9 @@ pub struct TenantReport {
     /// The compile error that terminated the tenant early, if any — the
     /// server keeps serving other tenants when one fails.
     pub error: Option<CompileError>,
+    /// The frame-source panic that terminated the tenant early, if any —
+    /// like a compile error, it ends only this tenant.
+    pub source_panic: Option<SourcePanic>,
     /// Configuration lints against the tenant's spec (currently
     /// `SG006`: Background-only shed/degrade policy set on a
     /// non-Background class). Warnings, not failures —
@@ -120,10 +164,10 @@ pub struct TenantReport {
 }
 
 impl TenantReport {
-    /// Whether every executed frame terminated cleanly and no compile
-    /// error cut the stream short.
+    /// Whether every executed frame terminated cleanly and neither a
+    /// compile error nor a source panic cut the stream short.
     pub fn is_clean(&self) -> bool {
-        self.error.is_none() && self.stream.all_clean()
+        self.error.is_none() && self.source_panic.is_none() && self.stream.all_clean()
     }
 }
 

@@ -37,6 +37,7 @@
 //! [`QosClass::Interactive`]: crate::QosClass::Interactive
 
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -52,7 +53,9 @@ use streamgrid_verify::inert_qos_policy;
 use crate::admission::{AdmissionError, TokenLedger};
 use crate::protocol::{admit_fifo, queued_admission, wfq_pick, QueuedDecision};
 use crate::qos::QosClass;
-use crate::report::{ClassReport, FrameLatency, LatencyStats, ServerReport, TenantReport};
+use crate::report::{
+    ClassReport, FrameLatency, LatencyStats, ServerReport, SourcePanic, TenantReport,
+};
 use crate::tenant::{TenantId, TenantSpec};
 
 /// Tuning knobs for a [`StreamServer`].
@@ -171,8 +174,8 @@ struct TenantState {
     was_queued: bool,
     /// Frames pulled (and therefore enqueued or failed) so far.
     pulled: u64,
-    /// The source returned `None`, `max_frames` hit, or a compile
-    /// failed: no more pulls.
+    /// The source returned `None` or panicked, `max_frames` hit, or a
+    /// compile failed: no more pulls.
     exhausted: bool,
     /// Tokens returned to the ledger (set once, at finish).
     released: bool,
@@ -184,6 +187,8 @@ struct TenantState {
     metas: Vec<FrameMeta>,
     /// The compile error that ended the tenant early, if any.
     error: Option<CompileError>,
+    /// The source panic that ended the tenant early, if any.
+    source_panic: Option<SourcePanic>,
 }
 
 /// What the scheduler remembers about a pulled frame while its job is
@@ -454,8 +459,8 @@ impl StreamServer {
     /// cache, and enqueues the execution; `workers` threads drain the
     /// class queues by weighted fair queueing. Waitlisted tenants are
     /// admitted FIFO as finishing tenants release their tokens. A
-    /// tenant whose compile fails records the error on its report and
-    /// stops — other tenants keep running.
+    /// tenant whose compile fails, or whose source panics, records the
+    /// error on its report and stops — other tenants keep running.
     pub fn run(self) -> ServerReport {
         let workers = self.config.effective_workers();
         let queue_depth = self.config.effective_queue_depth(workers);
@@ -484,6 +489,7 @@ impl StreamServer {
                 solves: 0,
                 metas: Vec::new(),
                 error: None,
+                source_panic: None,
             })
             .collect();
 
@@ -606,7 +612,16 @@ fn schedule(
         let frame = if t.spec.max_frames.is_some_and(|max| t.pulled >= max) {
             None
         } else {
-            t.source.next_frame()
+            // A panicking source ends its own tenant, like a compile
+            // error. Unwinding out of the scheduler would leave the
+            // workers parked on `work`, so `run` would never return.
+            // The source is never pulled again.
+            panic::catch_unwind(AssertUnwindSafe(|| t.source.next_frame())).unwrap_or_else(
+                |payload| {
+                    t.source_panic = Some(SourcePanic::new(t.pulled, payload.as_ref()));
+                    None
+                },
+            )
         };
         let Some(frame) = frame else {
             t.exhausted = true;
@@ -805,6 +820,7 @@ fn assemble_report(
             shed_frames,
             degraded_frames,
             error: t.error,
+            source_panic: t.source_panic,
             lints,
         });
     }

@@ -10,7 +10,7 @@
 //! overflows** (asserted by the integration tests), while variable
 //! (non-DT) global-op latency provokes the stalls the paper describes.
 //!
-//! Three engines share one stepping core (`state.rs`):
+//! Two engines share one stepping core (`state.rs`):
 //!
 //! * [`EngineMode::CycleAccurate`] (`cycle.rs`) — the reference oracle,
 //!   stepping every stage on every cycle;
@@ -20,17 +20,9 @@
 //!   [`GlobalLatencyModel::Deterministic`] it returns **bit-identical**
 //!   [`RunReport`]s to the oracle; under variable latency [`run_with`]
 //!   falls back to the oracle.
-//! * [`EngineMode::Sharded`] (`shard.rs`) — steps every cycle like the
-//!   oracle but partitions the stage order across threads, coupling
-//!   shards through per-edge counter rings. Bit-identical to the oracle
-//!   under **every** latency model (variable-latency slow factors are
-//!   sampled at state construction, so threading never perturbs them);
-//!   a strict-mode overflow aborts the parallel run and re-runs the
-//!   oracle, which reproduces the overflow report exactly.
 
 mod cycle;
 mod event;
-mod shard;
 mod state;
 mod stats;
 
@@ -41,7 +33,7 @@ use streamgrid_optimizer::{EdgeInfo, MultiChunkPlan, Schedule};
 use crate::energy::EnergyModel;
 use state::EngineState;
 
-pub use stats::{BackoffStats, RunReport};
+pub use stats::RunReport;
 
 /// Latency behavior of global-dependent stages.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -70,49 +62,6 @@ pub enum BufferPolicy {
     Elastic,
 }
 
-/// Tuning knobs for the sharded engine's cross-shard counter rings and
-/// tiered backoff. The defaults favor graceful degradation when threads
-/// outnumber cores: a blocked shard spins briefly, yields in growing
-/// batches, then parks on a condvar until its peer publishes progress —
-/// so an oversubscribed run costs scheduler hand-offs, not burnt cores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RingParams {
-    /// Ring capacity in cycles: the maximum skew between two coupled
-    /// shards and the epoch granularity of flow-control checks. Rounded
-    /// up to a power of two (minimum 2) by [`RingParams::normalized`];
-    /// larger rings synchronize less often but bound skew more loosely.
-    pub ring_len: u64,
-    /// Tier 1: `spin_loop` iterations before a blocked wait starts
-    /// yielding. Cheap skew absorption when a peer runs on another core.
-    pub spin_limit: u32,
-    /// Tier 2: rounds of exponentially-batched `yield_now` before the
-    /// wait parks. Bridges the gap where the peer holds this core but a
-    /// hand-off is imminent.
-    pub yield_limit: u32,
-}
-
-impl Default for RingParams {
-    fn default() -> Self {
-        RingParams {
-            ring_len: 1024,
-            spin_limit: 64,
-            yield_limit: 16,
-        }
-    }
-}
-
-impl RingParams {
-    /// Clamps `ring_len` to a power of two ≥ 2 (slot indexing is
-    /// modulo the ring length). The sharded engine normalizes its
-    /// config on entry, so any `RingParams` is safe to run.
-    pub fn normalized(self) -> Self {
-        RingParams {
-            ring_len: self.ring_len.max(2).next_power_of_two(),
-            ..self
-        }
-    }
-}
-
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EngineConfig {
@@ -133,9 +82,6 @@ pub struct EngineConfig {
     /// element), and each MAC fetches ~2 bytes from on-chip SRAM — this
     /// is what makes SRAM sizing matter for energy (Fig. 17b).
     pub macs_per_element: f64,
-    /// Sharded-engine ring and backoff tuning (ignored by the
-    /// sequential engines).
-    pub ring: RingParams,
 }
 
 impl Default for EngineConfig {
@@ -147,7 +93,6 @@ impl Default for EngineConfig {
             buffer_policy: BufferPolicy::Strict,
             max_cycles: 50_000_000,
             macs_per_element: 16.0,
-            ring: RingParams::default(),
         }
     }
 }
@@ -160,11 +105,6 @@ pub enum EngineMode {
     /// The event-to-event fast path (exact under deterministic latency;
     /// [`run_with`] falls back to the oracle otherwise).
     EventDriven,
-    /// The oracle's per-cycle sweep, partitioned into this many
-    /// contiguous shards of the stage order running on their own
-    /// threads (exact under every latency model; values ≤ 1 — or graphs
-    /// with fewer stages than shards — degrade to the oracle).
-    Sharded(u32),
 }
 
 impl EngineMode {
@@ -212,10 +152,8 @@ pub fn run(
 /// [`EngineMode::EventDriven`] is honored only under
 /// [`GlobalLatencyModel::Deterministic`]; variable latency always runs
 /// the oracle (the fast path's periodicity argument needs fixed stage
-/// rates). [`EngineMode::Sharded`] is honored under every latency model
-/// and falls back to the oracle only when a strict-mode overflow aborts
-/// the parallel run. Reports from all engines are bit-identical whenever
-/// each is exact, so the choice is purely a wall-time trade.
+/// rates). Reports from both engines are bit-identical whenever each is
+/// exact, so the choice is purely a wall-time trade.
 ///
 /// # Panics
 ///
@@ -238,22 +176,11 @@ pub fn run_with(
     let mode = match mode {
         EngineMode::CycleAccurate => EngineMode::CycleAccurate,
         EngineMode::EventDriven => EngineMode::fastest_exact(config.global_latency),
-        EngineMode::Sharded(n) => EngineMode::Sharded(n),
     };
     let mut state = EngineState::new(graph, edges, schedule, plan, config);
     match mode {
         EngineMode::CycleAccurate => cycle::run_to_completion(&mut state, config),
         EngineMode::EventDriven => event::run_to_completion(&mut state, config),
-        EngineMode::Sharded(n) => {
-            if !shard::run_to_completion(&mut state, config, n as usize) {
-                // Strict overflow aborted the parallel run. Rebuild and
-                // replay on the oracle — `EngineState::new` re-samples
-                // any variable-latency factors from the same seed, so
-                // the rerun is the run the oracle would have produced.
-                state = EngineState::new(graph, edges, schedule, plan, config);
-                cycle::run_to_completion(&mut state, config);
-            }
-        }
     }
     state.finalize(energy_model, config)
 }
@@ -687,252 +614,4 @@ mod tests {
     /// Pinned distinct-starved-cycle count for the eager-start half-rate
     /// chain above.
     const STARVED_PIN: u64 = 202;
-
-    /// Shard counts every sharded test sweeps: degenerate (1), fewer
-    /// than the 5-stage pipeline (2, 4), and more shards than stages
-    /// (8, which clamps to one stage per shard).
-    const SHARD_SWEEP: [u32; 4] = [1, 2, 4, 8];
-
-    #[test]
-    fn sharded_engine_matches_oracle_bit_for_bit() {
-        let (g, edges, schedule, plan) = setup(300);
-        for n_chunks in [1u64, 2, 3, 4, 7, 16, 64] {
-            let config = EngineConfig {
-                n_chunks,
-                ..EngineConfig::default()
-            };
-            let oracle = run(
-                &g,
-                &edges,
-                &schedule,
-                &plan,
-                &EnergyModel::default(),
-                &config,
-            );
-            for shards in SHARD_SWEEP {
-                let sharded = run_with(
-                    &g,
-                    &edges,
-                    &schedule,
-                    &plan,
-                    &EnergyModel::default(),
-                    &config,
-                    EngineMode::Sharded(shards),
-                );
-                assert_eq!(
-                    oracle, sharded,
-                    "divergence at n_chunks = {n_chunks}, shards = {shards}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_engine_matches_oracle_on_overflow() {
-        // Strict overflow aborts the parallel run and replays the
-        // oracle: the report (frozen `now`, overflow edge, flag
-        // handling) must come out identical.
-        let (g, edges, mut schedule, plan) = setup(300);
-        schedule.buffer_sizes[0] = schedule.buffer_sizes[0].saturating_sub(2).max(1);
-        let config = EngineConfig {
-            n_chunks: 4,
-            ..EngineConfig::default()
-        };
-        let oracle = run(
-            &g,
-            &edges,
-            &schedule,
-            &plan,
-            &EnergyModel::default(),
-            &config,
-        );
-        assert!(oracle.overflow_edge.is_some(), "sabotage must overflow");
-        for shards in SHARD_SWEEP {
-            let sharded = run_with(
-                &g,
-                &edges,
-                &schedule,
-                &plan,
-                &EnergyModel::default(),
-                &config,
-                EngineMode::Sharded(shards),
-            );
-            assert_eq!(oracle, sharded, "divergence at shards = {shards}");
-        }
-    }
-
-    #[test]
-    fn sharded_engine_matches_oracle_under_variable_latency() {
-        // Slow factors are sampled at state construction from the
-        // config seed, so the sharded engine sees the exact same
-        // per-chunk durations the oracle does.
-        let (g, edges, schedule, plan) = setup(300);
-        let config = EngineConfig {
-            n_chunks: 4,
-            global_latency: GlobalLatencyModel::Variable { cv: 0.8, seed: 7 },
-            buffer_policy: BufferPolicy::Elastic,
-            ..EngineConfig::default()
-        };
-        let oracle = run(
-            &g,
-            &edges,
-            &schedule,
-            &plan,
-            &EnergyModel::default(),
-            &config,
-        );
-        for shards in SHARD_SWEEP {
-            let sharded = run_with(
-                &g,
-                &edges,
-                &schedule,
-                &plan,
-                &EnergyModel::default(),
-                &config,
-                EngineMode::Sharded(shards),
-            );
-            assert_eq!(oracle, sharded, "divergence at shards = {shards}");
-        }
-    }
-
-    #[test]
-    fn sharded_truncated_reports_match_oracle() {
-        // Budget exhaustion is per-shard (each stops at `max_cycles`);
-        // the merged report must still match the oracle bit for bit,
-        // including budgets that land mid-warm-up.
-        let (g, edges, schedule, plan) = setup(300);
-        for budget in [1u64, 17, 40, 333, 1000] {
-            let config = EngineConfig {
-                n_chunks: 8,
-                max_cycles: budget,
-                ..EngineConfig::default()
-            };
-            let oracle = run(
-                &g,
-                &edges,
-                &schedule,
-                &plan,
-                &EnergyModel::default(),
-                &config,
-            );
-            for shards in SHARD_SWEEP {
-                let sharded = run_with(
-                    &g,
-                    &edges,
-                    &schedule,
-                    &plan,
-                    &EnergyModel::default(),
-                    &config,
-                    EngineMode::Sharded(shards),
-                );
-                assert_eq!(
-                    oracle, sharded,
-                    "divergence at max_cycles = {budget}, shards = {shards}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn degenerate_zero_ii_plan_runs_identically_on_sharded_engine() {
-        let (g, edges, schedule, mut plan) = setup(60);
-        plan.initiation_interval = 0;
-        for b in plan.bubbles.iter_mut() {
-            *b = 0;
-        }
-        let config = EngineConfig {
-            n_chunks: 5,
-            buffer_policy: BufferPolicy::Elastic,
-            max_cycles: 20_000,
-            ..EngineConfig::default()
-        };
-        let oracle = run(
-            &g,
-            &edges,
-            &schedule,
-            &plan,
-            &EnergyModel::default(),
-            &config,
-        );
-        for shards in SHARD_SWEEP {
-            let sharded = run_with(
-                &g,
-                &edges,
-                &schedule,
-                &plan,
-                &EnergyModel::default(),
-                &config,
-                EngineMode::Sharded(shards),
-            );
-            assert_eq!(oracle, sharded, "divergence at shards = {shards}");
-        }
-    }
-
-    #[test]
-    fn ring_params_normalize_to_power_of_two() {
-        let p = RingParams {
-            ring_len: 0,
-            ..RingParams::default()
-        };
-        assert_eq!(p.normalized().ring_len, 2);
-        let p = RingParams {
-            ring_len: 3,
-            ..RingParams::default()
-        };
-        assert_eq!(p.normalized().ring_len, 4);
-        let p = RingParams {
-            ring_len: 1024,
-            ..RingParams::default()
-        };
-        assert_eq!(p.normalized().ring_len, 1024);
-    }
-
-    #[test]
-    fn forced_park_ring_params_stay_bit_identical() {
-        // Zero spin and yield budgets plus a tiny ring drive every wait
-        // straight to the condvar park: the hostile tuning for the
-        // park/wake protocol. Results must not move.
-        let (g, edges, schedule, plan) = setup(300);
-        let config = EngineConfig {
-            n_chunks: 8,
-            ring: RingParams {
-                ring_len: 2,
-                spin_limit: 0,
-                yield_limit: 0,
-            },
-            ..EngineConfig::default()
-        };
-        let oracle = run(
-            &g,
-            &edges,
-            &schedule,
-            &plan,
-            &EnergyModel::default(),
-            &config,
-        );
-        for shards in SHARD_SWEEP {
-            let sharded = run_with(
-                &g,
-                &edges,
-                &schedule,
-                &plan,
-                &EnergyModel::default(),
-                &config,
-                EngineMode::Sharded(shards),
-            );
-            assert_eq!(oracle, sharded, "divergence at shards = {shards}");
-            if shards > 1 {
-                // With no spin/yield budget every blocked wait parks, so
-                // a multi-shard run must record parks — and the oracle
-                // side of the comparison proves `backoff` stays out of
-                // equality.
-                assert!(
-                    sharded.backoff.parks > 0,
-                    "forced-park run recorded no parks: {:?}",
-                    sharded.backoff
-                );
-            }
-        }
-        assert_eq!(oracle.backoff, BackoffStats::default());
-    }
 }

@@ -3,12 +3,10 @@
 //!
 //! [`step_stage`] is the *only* place simulated work happens; the
 //! cycle-accurate oracle calls it for every stage on every cycle
-//! (through [`EngineState::step_cycle`]), the event-driven engine for
-//! the cycles it cannot prove uneventful, and the sharded engine for the
-//! stages each thread owns. Keeping one stepper is what makes the
-//! engines bit-identical by construction: the fast paths never
-//! re-implement semantics — they only skip provably-repeating spans
-//! (event) or swap how edge buffers are reached ([`EdgeIo`], shard).
+//! (through [`EngineState::step_cycle`]) and the event-driven engine for
+//! the cycles it cannot prove uneventful. Keeping one stepper is what
+//! makes the engines bit-identical by construction: the fast path never
+//! re-implements semantics — it only skips provably-repeating spans.
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -19,7 +17,7 @@ use crate::dram::DramModel;
 use crate::energy::{EnergyBreakdown, EnergyModel};
 use crate::linebuffer::LineBuffer;
 
-use super::stats::{BackoffStats, RunReport};
+use super::stats::RunReport;
 use super::{BufferPolicy, EngineConfig, GlobalLatencyModel};
 
 /// Integer-exact rational rate accumulator: emits `num/den` elements per
@@ -28,7 +26,7 @@ use super::{BufferPolicy, EngineConfig, GlobalLatencyModel};
 /// `acc` (always `< den`) is the remainder `k·num mod den` after `k`
 /// steps.
 #[derive(Debug, Clone)]
-pub(super) struct RateAcc {
+struct RateAcc {
     quot: u64,
     rem: u64,
     den: u64,
@@ -63,18 +61,18 @@ impl RateAcc {
 }
 
 /// Per-stage execution bookkeeping.
-pub(super) struct StageState {
+struct StageState {
     kind: OpKind,
     /// Pipeline depth: write-phase gate offset from the chunk issue.
     depth: u64,
     /// First-chunk issue cycle; chunk `c` issues at `start + c · II`.
     start: u64,
-    pub(super) in_edges: Vec<usize>,
-    pub(super) out_edges: Vec<usize>,
+    in_edges: Vec<usize>,
+    out_edges: Vec<usize>,
     read_acc: RateAcc,
     write_acc: RateAcc,
     /// Current chunk index (`n_chunks` = all chunks streamed).
-    pub(super) chunk: u64,
+    chunk: u64,
     /// Remaining elements to read (per in-edge) for the current chunk.
     read_remaining: Vec<u64>,
     /// Remaining elements to write (per out-edge).
@@ -94,7 +92,7 @@ impl StageState {
         self.start + chunk * ii
     }
 
-    pub(super) fn active(&self, now: u64, n_chunks: u64, ii: u64) -> bool {
+    fn active(&self, now: u64, n_chunks: u64, ii: u64) -> bool {
         self.chunk < n_chunks && now >= self.issue(self.chunk, ii)
     }
 
@@ -104,7 +102,7 @@ impl StageState {
 
     /// Advances the slowdown accumulator; `true` when the stage may work
     /// this cycle.
-    pub(super) fn tick(&mut self) -> bool {
+    fn tick(&mut self) -> bool {
         self.slow_acc += self.slow_num;
         if self.slow_acc >= self.slow_den {
             self.slow_acc -= self.slow_den;
@@ -125,52 +123,17 @@ pub(super) enum Step {
     Overflow,
 }
 
-/// How [`step_stage`] reaches an edge's buffer. The oracle and event
-/// engine back every edge with the local [`LineBuffer`] ([`SeqIo`]); the
-/// sharded engine backs cross-shard edges with SPSC channels instead.
-/// Implementations must preserve the buffer contract exactly: `read`
-/// returns `min(need, occupancy)`, `free` the space left *after* the
-/// consumer's same-cycle read, `write` never exceeds `free`.
-pub(super) trait EdgeIo {
-    /// Consumer side: drain up to `need` elements from edge `e` at
-    /// cycle `now`; returns how many were actually available.
-    fn read(&mut self, e: usize, need: u64, now: u64) -> u64;
-    /// Producer side: space left on edge `e` at cycle `now`.
-    fn free(&mut self, e: usize, now: u64) -> u64;
-    /// Producer side: commit `n` elements to edge `e` (space checked).
-    fn write(&mut self, e: usize, n: u64);
-}
-
-/// [`EdgeIo`] over the in-place buffer vector — the sequential engines.
-pub(super) struct SeqIo<'a> {
-    pub(super) buffers: &'a mut [LineBuffer],
-}
-
-impl EdgeIo for SeqIo<'_> {
-    fn read(&mut self, e: usize, need: u64, _now: u64) -> u64 {
-        self.buffers[e].read(need)
-    }
-
-    fn free(&mut self, e: usize, _now: u64) -> u64 {
-        self.buffers[e].free()
-    }
-
-    fn write(&mut self, e: usize, n: u64) {
-        self.buffers[e].write(n).expect("space checked");
-    }
-}
-
 /// Per-cycle side effects a [`step_stage`] sweep accumulates. Flags are
 /// per *cycle* (distinct-cycle stall/starve semantics); byte/element
 /// tallies are deltas the caller folds into its monotone counters.
 #[derive(Debug, Default)]
-pub(super) struct CycleAcct {
-    pub(super) stalled: bool,
-    pub(super) starved: bool,
-    pub(super) sram_dynamic_bytes: u64,
-    pub(super) compute_elements: u64,
+struct CycleAcct {
+    stalled: bool,
+    starved: bool,
+    sram_dynamic_bytes: u64,
+    compute_elements: u64,
     /// Source-stage DRAM reads (bytes) this cycle.
-    pub(super) dram_read_bytes: u64,
+    dram_read_bytes: u64,
 }
 
 /// Steps one stage for cycle `now`: read phase, depth-gated write phase,
@@ -181,9 +144,9 @@ pub(super) struct CycleAcct {
 /// per-stage stall/starve flags exactly as the pre-extraction stepper
 /// did.
 #[allow(clippy::too_many_arguments)]
-pub(super) fn step_stage<IO: EdgeIo>(
+fn step_stage(
     stage: &mut StageState,
-    io: &mut IO,
+    buffers: &mut [LineBuffer],
     now: u64,
     n_chunks: u64,
     ii: u64,
@@ -203,7 +166,7 @@ pub(super) fn step_stage<IO: EdgeIo>(
             if need == 0 {
                 continue;
             }
-            let got = io.read(e, need, now);
+            let got = buffers[e].read(need);
             acct.sram_dynamic_bytes += got * config.bytes_per_element;
             stage.read_remaining[slot] -= got;
             max_read = max_read.max(got);
@@ -260,7 +223,7 @@ pub(super) fn step_stage<IO: EdgeIo>(
                 if n == 0 {
                     continue;
                 }
-                let space = io.free(e, now);
+                let space = buffers[e].free();
                 let accepted = n.min(space);
                 if accepted < n {
                     match config.buffer_policy {
@@ -273,7 +236,7 @@ pub(super) fn step_stage<IO: EdgeIo>(
                     }
                 }
                 if accepted > 0 {
-                    io.write(e, accepted);
+                    buffers[e].write(accepted).expect("space checked");
                     acct.sram_dynamic_bytes += accepted * config.bytes_per_element;
                     acct.compute_elements += accepted;
                     stage.write_remaining[slot] -= accepted;
@@ -368,32 +331,28 @@ pub(super) struct Counters {
     buf_writes: Vec<u64>,
 }
 
-/// The full execution state shared by the cycle oracle, the
-/// event-driven engine, and (split apart, then merged back) the sharded
-/// engine.
+/// The full execution state shared by the cycle oracle and the
+/// event-driven engine.
 pub(super) struct EngineState {
-    pub(super) stages: Vec<StageState>,
-    pub(super) buffers: Vec<LineBuffer>,
-    pub(super) dram: DramModel,
+    stages: Vec<StageState>,
+    buffers: Vec<LineBuffer>,
+    dram: DramModel,
     /// Stage visit order within a cycle: consumers before producers, so
     /// a same-cycle read frees the space a same-cycle write needs —
     /// matching the fluid simultaneity the ILP occupancy model assumes.
-    pub(super) order: Vec<usize>,
+    order: Vec<usize>,
     /// Per-edge chunk volume (`W_P`), indexed like `buffers`.
-    pub(super) edge_volume: Vec<u64>,
+    edge_volume: Vec<u64>,
     /// Edges draining into sinks (everything they consume goes to DRAM).
     sink_edges: Vec<usize>,
-    pub(super) ii: u64,
-    pub(super) n_chunks: u64,
+    ii: u64,
+    n_chunks: u64,
     pub(super) now: u64,
-    pub(super) stall_cycles: u64,
-    pub(super) starved_cycles: u64,
+    stall_cycles: u64,
+    starved_cycles: u64,
     overflow_edge: Option<usize>,
-    pub(super) sram_dynamic_bytes: u64,
-    pub(super) compute_elements: u64,
-    /// Backoff telemetry merged back from the sharded engine's threads
-    /// (zeros on the sequential paths).
-    pub(super) backoff: BackoffStats,
+    sram_dynamic_bytes: u64,
+    compute_elements: u64,
 }
 
 impl EngineState {
@@ -524,7 +483,6 @@ impl EngineState {
             overflow_edge: None,
             sram_dynamic_bytes: 0,
             compute_elements: 0,
-            backoff: BackoffStats::default(),
         }
     }
 
@@ -557,7 +515,6 @@ impl EngineState {
             overflow_edge,
             ..
         } = self;
-        let mut io = SeqIo { buffers };
         for &si in order.iter() {
             let stage = &mut stages[si];
             if !stage.active(now, n_chunks, ii) {
@@ -569,7 +526,7 @@ impl EngineState {
             }
             if let Some(e) = step_stage(
                 stage,
-                &mut io,
+                buffers,
                 now,
                 n_chunks,
                 ii,
@@ -749,7 +706,6 @@ impl EngineState {
             dram_read_bytes: self.dram.read_bytes(),
             dram_write_bytes: self.dram.write_bytes(),
             energy,
-            backoff: self.backoff,
         }
     }
 }

@@ -9,39 +9,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::energy::EnergyBreakdown;
 
-/// Backoff telemetry from the sharded engine's wait loops: how often a
-/// blocked shard spun, yielded, parked, and how many wakes publishers
-/// issued to parked peers. All zeros for the sequential engines (and for
-/// a sharded run that aborted and replayed on the oracle).
-///
-/// These counters describe **host scheduling**, not simulated behavior:
-/// the same design point produces different counts run to run. They are
-/// therefore excluded from [`RunReport`]'s equality — bit-identity
-/// assertions compare simulated results only.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BackoffStats {
-    /// Tier-1 `spin_loop` iterations across all waits.
-    pub spins: u64,
-    /// Tier-2 `yield_now` calls across all waits.
-    pub yields: u64,
-    /// Tier-3 condvar parks (a shard thread actually slept).
-    pub parks: u64,
-    /// Wakes issued by publishers that observed a parked peer.
-    pub wakes: u64,
-}
-
-impl BackoffStats {
-    /// Accumulates another shard's (or frame's) counters into this one.
-    pub fn merge(&mut self, other: &BackoffStats) {
-        self.spins += other.spins;
-        self.yields += other.yields;
-        self.parks += other.parks;
-        self.wakes += other.wakes;
-    }
-}
-
 /// Result of one engine run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunReport {
     /// Cycles until the last element left the pipeline (or the run
     /// stopped — see [`RunReport::overflow_edge`] and
@@ -73,27 +42,6 @@ pub struct RunReport {
     pub dram_write_bytes: u64,
     /// Energy tally.
     pub energy: EnergyBreakdown,
-    /// Sharded-engine backoff telemetry (zeros for sequential engines).
-    /// Host-timing-dependent and **excluded from equality**.
-    pub backoff: BackoffStats,
-}
-
-/// Manual equality that deliberately skips [`RunReport::backoff`]: the
-/// backoff counters vary with host scheduling while every engine test
-/// asserts `oracle == sharded` on the simulated results.
-impl PartialEq for RunReport {
-    fn eq(&self, other: &Self) -> bool {
-        self.cycles == other.cycles
-            && self.buffer_peaks == other.buffer_peaks
-            && self.buffer_capacities == other.buffer_capacities
-            && self.overflow_edge == other.overflow_edge
-            && self.truncated == other.truncated
-            && self.stall_cycles == other.stall_cycles
-            && self.starved_cycles == other.starved_cycles
-            && self.dram_read_bytes == other.dram_read_bytes
-            && self.dram_write_bytes == other.dram_write_bytes
-            && self.energy == other.energy
-    }
 }
 
 impl RunReport {

@@ -36,8 +36,7 @@ pub use cache::{CacheModel, CacheReport};
 pub use dram::DramModel;
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use engine::{
-    run, run_with, BackoffStats, BufferPolicy, EngineConfig, EngineMode, GlobalLatencyModel,
-    RingParams, RunReport,
+    run, run_with, BufferPolicy, EngineConfig, EngineMode, GlobalLatencyModel, RunReport,
 };
 pub use linebuffer::LineBuffer;
 pub use priors::{HwBudget, PriorReport, WorkloadProfile};

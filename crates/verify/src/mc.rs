@@ -1,15 +1,14 @@
 //! `mc`: a reusable bounded-exhaustive model-checking harness.
 //!
-//! The bespoke explorers this crate grew one at a time — the SPSC ring
-//! checker and the park/wake checker in [`crate::spsc`] — shared the
-//! same skeleton: a small multi-threaded protocol model whose shared
-//! memory is part of a hashable state, a DFS over every interleaving
-//! with visited-state memoization, and a verdict that is a *proof over
-//! the bounded model* rather than a sampled stress run. This module is
-//! that skeleton, factored once (loom-lite, zero dependencies, like
-//! everything else in `crates/verify`) so new protocols — the serving
-//! layer's dispatch, admission, and scheduling protocols in
-//! `streamgrid-serve` — state a [`Model`] and inherit the explorer.
+//! Protocol checks share one skeleton: a small multi-threaded protocol
+//! model whose shared memory is part of a hashable state, a DFS over
+//! every interleaving with visited-state memoization, and a verdict that
+//! is a *proof over the bounded model* rather than a sampled stress run.
+//! This module is that skeleton, factored once (loom-lite, zero
+//! dependencies, like everything else in `crates/verify`) so each
+//! protocol — the serving layer's dispatch, admission, and scheduling
+//! protocols in `streamgrid-serve` — states a [`Model`] and inherits the
+//! explorer.
 //!
 //! What the harness provides:
 //!
@@ -44,13 +43,13 @@
 //! use. Sequentially-consistent atomics need no machinery beyond the
 //! explorer itself — every interleaving of their accesses is explored —
 //! so [`McAtomicU64`] is a thin, intention-revealing wrapper; *relaxed*
-//! effects (stale reads) are modeled per-protocol, the way the SPSC
-//! ring model derives every coherence-valid load from thread progress.
+//! effects (stale reads) are modeled per-protocol, by enumerating every
+//! coherence-valid lagging value as a distinct successor.
 //! Condvars deliberately have **no spurious wakeups**: a protocol
 //! proven deadlock-free here is deadlock-free without relying on them
 //! (spurious wakeups can only rescue a deadlock, never cause one), and
-//! the sim engine's 20 ms defensive park timeout is likewise excluded —
-//! the handshake must be correct on its own.
+//! wait timeouts are likewise excluded — the handshake must be correct
+//! on its own.
 //!
 //! # Examples
 //!
@@ -403,8 +402,8 @@ impl McCondvar {
 /// A modeled sequentially-consistent atomic counter. The harness
 /// explores every interleaving of accesses, which *is* SeqCst
 /// semantics; the wrapper only marks which state fields are shared.
-/// Relaxed/stale behavior is modeled per-protocol (the SPSC ring model
-/// enumerates every coherence-valid lagging value instead).
+/// Relaxed/stale behavior is modeled per-protocol (by enumerating every
+/// coherence-valid lagging value instead).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct McAtomicU64(u64);
 

@@ -2,11 +2,8 @@
 //! termination the event-driven engine must reproduce the cycle-accurate
 //! oracle's `RunReport` **bit for bit** — on every paper preset, on
 //! randomly generated DAG schedules, and under cycle-budget truncation.
-//! The sharded engine is held to the same contract at every shard count
-//! (it must be exact under *any* latency model, not just DT).
 //!
-//! This is the contract `streamgrid_sim::engine::{event, shard}` is held
-//! to; any divergence here means a fast path changed semantics, not just
+//! This is the contract `streamgrid_sim::engine::event` is held to; any divergence here means a fast path changed semantics, not just
 //! speed.
 
 use proptest::prelude::*;
@@ -17,13 +14,8 @@ use streamgrid_dataflow::{DataflowGraph, Shape};
 use streamgrid_optimizer::{edge_infos, optimize, plan_multi_chunk, OptimizeConfig};
 use streamgrid_sim::{run_with, EnergyModel, EngineConfig, EngineMode};
 
-/// Shard counts the sharded engine is swept over: degenerate (1), the
-/// Auto default neighborhood, and more shards than some designs have
-/// stages (8) so the never-empty-cut clamp is exercised.
-const SHARD_SWEEP: [u32; 4] = [1, 2, 4, 8];
-
 /// Every registry preset, across chunk counts spanning warm-up-only runs
-/// (1 chunk) to steady-state-dominated sweeps: all engines, one report.
+/// (1 chunk) to steady-state-dominated sweeps: both engines, one report.
 #[test]
 fn registry_presets_equivalent_across_chunk_counts() {
     let registry = PipelineRegistry::with_paper_apps();
@@ -49,26 +41,6 @@ fn registry_presets_equivalent_across_chunk_counts() {
                 spec.name(),
                 n_chunks
             );
-            for shards in SHARD_SWEEP {
-                // Clamp off: the sweep's point is running the *real*
-                // multi-shard engine even where the host has fewer
-                // cores (clamp policy is pinned in tests/shard_backoff.rs).
-                let sharded = compiled.execute(
-                    &ExecuteOptions::for_spec(spec)
-                        .with_exec_mode(ExecMode::Sharded(shards))
-                        .with_shard_clamp(false),
-                );
-                assert_eq!(sharded.exec_mode, EngineMode::Sharded(shards));
-                assert_eq!(sharded.exec_requested, ExecMode::Sharded(shards));
-                assert_eq!(
-                    oracle.run,
-                    sharded.run,
-                    "{} at {} chunks / {} shards: sharded engine diverged",
-                    spec.name(),
-                    n_chunks,
-                    shards
-                );
-            }
             assert!(oracle.is_clean(), "{}: CS+DT must run clean", spec.name());
         }
     }
@@ -207,11 +179,6 @@ proptest! {
         let event = run_with(&g, &edges, &schedule, &plan, &energy, &full,
                              EngineMode::EventDriven);
         prop_assert_eq!(&oracle, &event, "full-budget divergence");
-        for shards in SHARD_SWEEP {
-            let sharded = run_with(&g, &edges, &schedule, &plan, &energy, &full,
-                                   EngineMode::Sharded(shards));
-            prop_assert_eq!(&oracle, &sharded, "sharded divergence at {} shards", shards);
-        }
 
         // Truncated runs must agree too: slice the budget to a fraction
         // of the observed run length.
@@ -225,12 +192,6 @@ proptest! {
         let event_t = run_with(&g, &edges, &schedule, &plan, &energy, &truncated,
                                EngineMode::EventDriven);
         prop_assert_eq!(&oracle_t, &event_t, "truncated-budget divergence");
-        for shards in SHARD_SWEEP {
-            let sharded_t = run_with(&g, &edges, &schedule, &plan, &energy, &truncated,
-                                     EngineMode::Sharded(shards));
-            prop_assert_eq!(&oracle_t, &sharded_t,
-                            "truncated sharded divergence at {} shards", shards);
-        }
         if budget_divisor > 1 && oracle_t.overflow_edge.is_none() && oracle_t.cycles < oracle.cycles {
             prop_assert!(oracle_t.truncated, "partial run must be flagged");
         }

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use streamgrid_core::apps::AppDomain;
-use streamgrid_core::framework::{ExecMode, ExecuteOptions, StreamGrid};
+use streamgrid_core::framework::StreamGrid;
 use streamgrid_core::source::{
     ReplaySource, SizeBucketing, StreamOptions, StreamReport, SyntheticSource,
 };
@@ -97,55 +97,6 @@ fn degenerate_worker_counts_are_safe() {
     // An empty stream with workers requested is fine too.
     let empty = stream_sizes(&[], &StreamOptions::workers(8));
     assert_eq!(empty.frame_count(), 0);
-}
-
-/// Intra-frame sharding composes with inter-frame workers: for every
-/// `(shards, workers)` pair the streamed frames carry the requested
-/// sharded exec mode and every simulated field — schedule, run report,
-/// energy — matches the sequential oracle stream bit for bit.
-#[test]
-fn sharded_frames_compose_with_workers() {
-    use streamgrid_sim::EngineMode;
-    let sizes: Vec<u64> = (0..6u64).map(|i| 900 + 211 * i).collect();
-    let policy = SizeBucketing::Quantize(512);
-    let oracle = stream_sizes(
-        &sizes,
-        &StreamOptions::bucketed(policy).with_exec(
-            ExecuteOptions::for_spec(&AppDomain::Classification.spec())
-                .with_exec_mode(ExecMode::CycleAccurate),
-        ),
-    );
-    assert!(oracle.all_clean());
-    for shards in [1u32, 2, 4, 8] {
-        for workers in [1usize, 2, 4] {
-            // Clamp off so the real multi-shard engine runs under every
-            // worker count regardless of host cores (the clamp itself is
-            // pinned in tests/shard_backoff.rs).
-            let sharded = stream_sizes(
-                &sizes,
-                &StreamOptions::bucketed(policy)
-                    .with_exec(
-                        ExecuteOptions::for_spec(&AppDomain::Classification.spec())
-                            .with_exec_mode(ExecMode::Sharded(shards))
-                            .with_shard_clamp(false),
-                    )
-                    .with_workers(workers),
-            );
-            assert_eq!(sharded.frame_count(), oracle.frame_count());
-            assert_eq!(sharded.solver_invocations, oracle.solver_invocations);
-            for (got, want) in sharded.frames.iter().zip(oracle.frames.iter()) {
-                assert_eq!(got.report.exec_mode, EngineMode::Sharded(shards));
-                assert_eq!(got.frame, want.frame);
-                assert_eq!(got.scheduled_elements, want.scheduled_elements);
-                assert_eq!(got.report.compile, want.report.compile);
-                assert_eq!(
-                    got.report.run, want.report.run,
-                    "frame {} diverged at {shards} shards x {workers} workers",
-                    got.frame.id
-                );
-            }
-        }
-    }
 }
 
 /// `run_batch_parallel` is now a thin wrapper over the same executor:

@@ -285,3 +285,35 @@ fn file_cache_separates_configs() {
     assert_eq!(warm.run(4 * 300).unwrap(), csdt_report);
     assert_eq!(warm.solver_invocations(), 0);
 }
+
+/// A cache `dir` that is an existing regular file cannot hold entries
+/// (tests run as root, so a `chmod`-ed directory would still be
+/// writable): the compile still succeeds, the solve counts once, the
+/// repeat request is a memory hit, and nothing is written anywhere.
+#[test]
+fn unwritable_file_cache_dir_degrades_to_memory() {
+    let scratch = ScratchDir::new("unwritable");
+    fs::create_dir_all(&scratch.0).unwrap();
+    let blocker = scratch.0.join("not-a-directory");
+    fs::write(&blocker, "occupied").unwrap();
+
+    let mut session = csdt4()
+        .session_builder(AppDomain::Classification.spec())
+        .with_cache(FileCache::new(&blocker))
+        .build();
+    let first = session.run(4 * 300).unwrap();
+    assert_eq!(session.solver_invocations(), 1);
+    let again = session.run(4 * 300).unwrap();
+    assert_eq!(
+        session.solver_invocations(),
+        1,
+        "the repeat is a memory hit"
+    );
+    assert_eq!(again, first);
+    assert!(first.is_clean());
+
+    // Neither an entry nor a stray temp file landed anywhere.
+    assert_eq!(fs::read_to_string(&blocker).unwrap(), "occupied");
+    let entries: Vec<_> = scratch.0.read_dir().unwrap().collect();
+    assert_eq!(entries.len(), 1, "only the blocking file: {entries:?}");
+}

@@ -12,7 +12,9 @@ use std::time::{Duration, Instant};
 
 use streamgrid_core::apps::AppDomain;
 use streamgrid_core::framework::{ExecMode, ExecuteOptions, StreamGrid};
-use streamgrid_core::source::{ReplaySource, SizeBucketing, StreamOptions, SyntheticSource};
+use streamgrid_core::source::{
+    Frame, FrameSource, ReplaySource, SizeBucketing, StreamOptions, StreamReport, SyntheticSource,
+};
 use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
 use streamgrid_serve::{AdmissionError, QosClass, ServerConfig, StreamServer, TenantSpec};
 
@@ -67,6 +69,100 @@ fn single_tenant_is_bit_identical_to_session_stream() {
     // The SLO side has one executed sample per frame.
     assert_eq!(report.tenants[0].latency.frames, direct.frame_count());
     assert_eq!(report.class(QosClass::Standard).tenants, 1);
+}
+
+/// Replays `sizes` but panics on pull number `panic_at` — a sensor
+/// driver that dies mid-stream.
+struct PanicsAt {
+    inner: ReplaySource,
+    pulled: u64,
+    panic_at: u64,
+}
+
+impl FrameSource for PanicsAt {
+    fn next_frame(&mut self) -> Option<Frame> {
+        if self.pulled == self.panic_at {
+            panic!("sensor disconnected after {} frames", self.pulled);
+        }
+        self.pulled += 1;
+        self.inner.next_frame()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.inner.size_hint()
+    }
+}
+
+/// A panicking `FrameSource` ends only its own tenant: the other
+/// tenants' reports equal their solo `Session::stream` runs, and the
+/// failing tenant keeps the frames it pulled before the panic, with the
+/// panic recorded as a typed error on its report.
+#[test]
+fn panicking_source_ends_only_its_own_tenant() {
+    let bucketing = SizeBucketing::Quantize(400);
+    // Disjoint size ranges, so no tenant's compile is another's cache
+    // hit and every per-tenant solve count matches its solo run.
+    let sizes = |base: u64| -> Vec<u64> { (0..5).map(|i| base + 100 * i).collect() };
+    let solo = |sizes: &[u64]| -> StreamReport {
+        let mut session = StreamGrid::new(csdt4()).session(AppDomain::Classification.spec());
+        session
+            .stream(
+                ReplaySource::new(sizes),
+                &StreamOptions::bucketed(bucketing),
+            )
+            .unwrap()
+    };
+    let (steady_a, faulty, steady_b) = (sizes(1200), sizes(2400), sizes(3600));
+    let k = 3u64;
+
+    let mut server = StreamServer::new(ServerConfig::default().with_workers(2));
+    server
+        .submit(
+            cls_spec("steady-a")
+                .with_bucketing(bucketing)
+                .with_qos(QosClass::Interactive),
+            ReplaySource::new(&steady_a),
+        )
+        .unwrap();
+    server
+        .submit(
+            cls_spec("faulty").with_bucketing(bucketing),
+            PanicsAt {
+                inner: ReplaySource::new(&faulty),
+                pulled: 0,
+                panic_at: k,
+            },
+        )
+        .unwrap();
+    server
+        .submit(
+            cls_spec("steady-b")
+                .with_bucketing(bucketing)
+                .with_qos(QosClass::Background),
+            ReplaySource::new(&steady_b),
+        )
+        .unwrap();
+    let report = server.run();
+
+    assert_eq!(report.tenants.len(), 3);
+    for (tenant, sizes) in [
+        (&report.tenants[0], &steady_a),
+        (&report.tenants[2], &steady_b),
+    ] {
+        assert_eq!(tenant.stream, solo(sizes), "{}", tenant.name);
+        assert!(tenant.source_panic.is_none() && tenant.is_clean());
+    }
+    let failed = &report.tenants[1];
+    let panic = failed.source_panic.as_ref().expect("the panic is recorded");
+    assert_eq!(panic.frame, k);
+    assert!(panic.message.contains("sensor disconnected"), "{panic}");
+    assert!(
+        failed.error.is_none(),
+        "a source panic is not a compile error"
+    );
+    assert_eq!(failed.stream.frame_count(), k);
+    assert_eq!(failed.stream, solo(&faulty[..k as usize]));
+    assert!(!failed.is_clean() && !report.all_clean());
 }
 
 /// Admission control rejects at capacity with the typed error carrying
@@ -157,8 +253,9 @@ fn waitlisted_tenants_are_admitted_fifo_as_tokens_free() {
 
 /// Backpressure never deadlocks: tiny queues, every class saturated,
 /// multiple tenants per class — the run completes inside a generous
-/// wall budget relative to the same work done directly (the
-/// `tests/shard_backoff.rs` budget idiom).
+/// wall budget relative to the same work done directly: a multiple of
+/// the direct wall time plus a fixed slack, so a slow host stretches
+/// the budget instead of failing it.
 #[test]
 fn saturated_classes_with_tiny_queues_never_deadlock() {
     let frames = 5u64;
