@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use streamgrid_core::apps::AppDomain;
-use streamgrid_core::framework::StreamGrid;
+use streamgrid_core::framework::{ExecuteOptions, StreamGrid};
 use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
 use streamgrid_optimizer::{edge_infos, optimize, plan_multi_chunk, OptimizeConfig};
 use streamgrid_pointcloud::datasets::lidar::{scan, LidarConfig, Scene};
@@ -120,14 +120,16 @@ fn bench_optimizer(c: &mut Criterion) {
 }
 
 fn bench_session(c: &mut Criterion) {
-    // The amortization the Session cache buys: a warm `run` skips the
-    // ILP solve entirely, so this should sit orders of magnitude under
-    // `line_buffer_ilp/Classification` + engine time combined.
+    // The amortization the Session cache buys: a warm lookup skips the
+    // ILP solve entirely, so compile-then-execute should sit orders of
+    // magnitude under `line_buffer_ilp/Classification` + engine time
+    // combined.
     let fw = StreamGrid::new(StreamGridConfig::cs_dt(SplitConfig::linear(4, 2)));
     let mut session = fw.session(AppDomain::Classification.spec());
-    session.run(4 * 1200).expect("warms the compile cache");
+    let options = ExecuteOptions::for_spec(session.spec());
+    session.compiled(4 * 1200).expect("warms the compile cache");
     c.bench_function("session_run_warm_cls", |b| {
-        b.iter(|| black_box(session.run(4 * 1200).unwrap()))
+        b.iter(|| black_box(session.compiled(4 * 1200).unwrap().execute(&options)))
     });
 }
 

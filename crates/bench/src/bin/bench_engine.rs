@@ -17,21 +17,22 @@
 use std::time::{Duration, Instant};
 
 use streamgrid_bench::report::{BenchReport, RunRecord};
-use streamgrid_core::framework::{ExecMode, ExecuteOptions, ExecutionReport};
+use streamgrid_core::framework::{CompiledPipeline, ExecMode, ExecuteOptions, ExecutionReport};
 use streamgrid_core::registry::PipelineRegistry;
-use streamgrid_core::session::Session;
 use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
 use streamgrid_core::StreamGrid;
 
 /// Elements each chunk streams from the source (paper-scale points×3).
 const CHUNK_ELEMENTS: u64 = 300;
 
-fn timed_run(session: &mut Session, elements: u64, mode: ExecMode) -> (ExecutionReport, Duration) {
-    let options = ExecuteOptions::for_spec(session.spec()).with_exec_mode(mode);
+fn timed_run(
+    compiled: &CompiledPipeline,
+    options: ExecuteOptions,
+    mode: ExecMode,
+) -> (ExecutionReport, Duration) {
+    let options = options.with_exec_mode(mode);
     let t0 = Instant::now();
-    let report = session
-        .run_with(elements, &options)
-        .expect("compiled design executes");
+    let report = compiled.execute(&options);
     (report, t0.elapsed())
 }
 
@@ -65,11 +66,13 @@ fn main() {
         }
         for &n in chunk_counts {
             let fw = StreamGrid::new(StreamGridConfig::cs_dt(SplitConfig::linear(n as u32, 2)));
-            let mut session = fw.session(spec.clone());
             let elements = n * CHUNK_ELEMENTS;
-            // Warm the compile cache so the timings isolate the engine
-            // loop from the (already amortized) ILP solve.
-            let compiled = session.compiled(elements).expect("CS+DT design compiles");
+            // Compile once up front so the timings isolate the engine
+            // loop from the ILP solve.
+            let compiled = fw
+                .compile_spec(spec, elements)
+                .expect("CS+DT design compiles");
+            let options = ExecuteOptions::for_spec(spec);
             let t_cert = Instant::now();
             let cert = compiled.certify();
             let certify_ms = t_cert.elapsed().as_secs_f64() * 1e3;
@@ -80,8 +83,8 @@ fn main() {
                 cert.render()
             );
 
-            let (oracle, t_oracle) = timed_run(&mut session, elements, ExecMode::CycleAccurate);
-            let (event, t_event) = timed_run(&mut session, elements, ExecMode::EventDriven);
+            let (oracle, t_oracle) = timed_run(&compiled, options, ExecMode::CycleAccurate);
+            let (event, t_event) = timed_run(&compiled, options, ExecMode::EventDriven);
             assert_eq!(
                 oracle.run,
                 event.run,

@@ -5,13 +5,13 @@
 //! not be synthesized).
 
 use streamgrid_core::apps::AppDomain;
-use streamgrid_core::framework::StreamGrid;
+use streamgrid_core::framework::{ExecuteOptions, StreamGrid};
 use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
 
 /// Per-app workload scale (points × attrs) and chunk count.
 fn workload(domain: AppDomain) -> (u64, u64) {
-    // (total_elements, n_chunks); datapath intensity comes from
-    // `AppDomain::macs_per_element` via `StreamGrid::execute`.
+    // (total_elements, n_chunks); datapath intensity comes from the
+    // preset spec via `ExecuteOptions::for_spec`.
     match domain {
         AppDomain::Classification => (4096 * 3, 4),
         AppDomain::Segmentation => (4096 * 3, 4),
@@ -41,7 +41,11 @@ fn main() {
         // One session per domain: the CS+DT and Base designs share the
         // spec and resolve through the same compile cache.
         let mut session = StreamGrid::new(csdt_config).session(domain.spec());
-        let csdt = session.run(elements).expect("CS+DT compiles and runs");
+        let options = ExecuteOptions::for_spec(session.spec());
+        let csdt = session
+            .compiled(elements)
+            .expect("CS+DT compiles")
+            .execute(&options);
         assert!(csdt.is_clean(), "{domain:?}: CS+DT must run stall-free");
         // 3DGS Base: infeasible on-chip buffer — report like the paper.
         if matches!(domain, AppDomain::NeuralRendering) {
@@ -58,7 +62,10 @@ fn main() {
             continue;
         }
         session.set_config(StreamGridConfig::base());
-        let base = session.run(elements).expect("Base compiles and runs");
+        let base = session
+            .compiled(elements)
+            .expect("Base compiles")
+            .execute(&options);
         let reduction = 1.0 - csdt.onchip_bytes() as f64 / base.onchip_bytes() as f64;
         let norm_energy = csdt.energy.total_pj() / base.energy.total_pj();
         reductions.push(reduction);

@@ -4,7 +4,7 @@
 //! segmentation drops harder at 16 chunks).
 
 use streamgrid_core::apps::AppDomain;
-use streamgrid_core::framework::StreamGrid;
+use streamgrid_core::framework::{ExecuteOptions, StreamGrid};
 use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
 use streamgrid_nn::pointnet::{ClsNet, SegNet};
 use streamgrid_nn::sampling::SearchMode;
@@ -52,13 +52,15 @@ fn main() {
     let elements = 4096 * 3;
     let config_for = |n: u64| StreamGridConfig::cs_dt(SplitConfig::linear(n as u32, 2));
     let mut session = StreamGrid::new(config_for(4)).session(AppDomain::Classification.spec());
+    let options = ExecuteOptions::for_spec(session.spec());
 
     // Energy at 4 chunks is the normalization point (paper Fig. 19);
     // draw it eagerly so every row — including the 1-chunk row printed
     // first — is normalized against it.
     let e4 = session
-        .run(elements)
-        .expect("CS+DT compiles and runs")
+        .compiled(elements)
+        .expect("CS+DT compiles")
+        .execute(&options)
         .energy
         .total_pj();
 
@@ -70,7 +72,10 @@ fn main() {
         // Classification pipeline at this chunking; the n = 4 row is a
         // cache hit on the normalization run above.
         session.set_config(config_for(n));
-        let hw = session.run(elements).expect("CS+DT compiles and runs");
+        let hw = session
+            .compiled(elements)
+            .expect("CS+DT compiles")
+            .execute(&options);
         let norm = hw.energy.total_pj() / e4;
 
         // Algorithm side: co-trained accuracy at this chunking.

@@ -46,8 +46,8 @@
 //!     .session_builder(AppDomain::Classification.spec())
 //!     .with_cache(shared.clone())
 //!     .build();
-//! a.run(4 * 300).unwrap();
-//! b.run(4 * 300).unwrap(); // hits the schedule `a` already solved
+//! a.compiled(4 * 300).unwrap();
+//! b.compiled(4 * 300).unwrap(); // hits the schedule `a` already solved
 //! assert_eq!(shared.solver_invocations(), 1);
 //! ```
 
@@ -441,7 +441,7 @@ impl ScheduleCache for InMemoryCache {
 /// ```
 /// use streamgrid_core::apps::AppDomain;
 /// use streamgrid_core::cache::{ScheduleCache, SharedCache};
-/// use streamgrid_core::framework::StreamGrid;
+/// use streamgrid_core::framework::{ExecuteOptions, StreamGrid};
 /// use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
 ///
 /// let fw = StreamGrid::new(StreamGridConfig::cs_dt(SplitConfig::linear(4, 2)));
@@ -451,7 +451,8 @@ impl ScheduleCache for InMemoryCache {
 ///         .session_builder(AppDomain::Registration.spec())
 ///         .with_cache(shared.clone())
 ///         .build();
-///     assert!(session.run(4 * 400).unwrap().is_clean());
+///     let options = ExecuteOptions::for_spec(session.spec());
+///     assert!(session.compiled(4 * 400).unwrap().execute(&options).is_clean());
 /// }
 /// assert_eq!(shared.solver_invocations(), 1);
 /// ```
@@ -522,14 +523,14 @@ const FILE_FORMAT_VERSION: u64 = 1;
 ///     .session_builder(AppDomain::Classification.spec())
 ///     .with_cache(FileCache::new("schedule-cache"))
 ///     .build();
-/// cold.run(4 * 300).unwrap();
+/// cold.compiled(4 * 300).unwrap();
 /// // A later process over the same directory pays zero solves.
 /// let warm_cache = FileCache::new("schedule-cache");
 /// let mut warm = fw
 ///     .session_builder(AppDomain::Classification.spec())
 ///     .with_cache(warm_cache)
 ///     .build();
-/// warm.run(4 * 300).unwrap();
+/// warm.compiled(4 * 300).unwrap();
 /// assert_eq!(warm.solver_invocations(), 0);
 /// ```
 #[derive(Debug)]

@@ -147,9 +147,11 @@ impl ExecMode {
     }
 }
 
-/// Knobs for the execution half of the flow. [`StreamGrid::execute`]
-/// fills these from the domain; override via
-/// [`StreamGrid::execute_with`] or [`CompiledPipeline::execute`].
+/// Knobs for the execution half of the flow, passed to
+/// [`CompiledPipeline::execute`] or carried on
+/// [`StreamOptions::exec`](crate::source::StreamOptions::exec).
+/// [`ExecuteOptions::for_spec`] fills in a pipeline's paper datapath
+/// intensity.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ExecuteOptions {
     /// Energy model the engine charges against.
@@ -178,16 +180,11 @@ impl Default for ExecuteOptions {
 }
 
 impl ExecuteOptions {
-    /// Defaults with the domain's paper datapath intensity.
-    pub fn for_domain(domain: AppDomain) -> Self {
-        ExecuteOptions {
-            macs_per_element: domain.macs_per_element(),
-            ..ExecuteOptions::default()
-        }
-    }
-
     /// Defaults with the spec's datapath intensity (what
-    /// [`Session::run`] uses).
+    /// [`Session::stream`] uses unless [`StreamOptions::exec`] overrides
+    /// it).
+    ///
+    /// [`StreamOptions::exec`]: crate::source::StreamOptions::exec
     pub fn for_spec(spec: &PipelineSpec) -> Self {
         ExecuteOptions {
             macs_per_element: spec.macs_per_element(),
@@ -411,66 +408,6 @@ impl StreamGrid {
     pub fn session_builder(&self, spec: PipelineSpec) -> crate::session::SessionBuilder {
         crate::session::SessionBuilder::new(spec, self.config)
     }
-
-    /// Runs the whole Fig. 1 flow — compile, then execute on the
-    /// cycle-level simulator with the domain's paper defaults — and
-    /// returns the unified [`ExecutionReport`]. One-shot: for repeated
-    /// executions, open a [`StreamGrid::session`] and let its cache
-    /// amortize the ILP solve.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CompileError`] from the ILP stage.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use streamgrid_core::apps::AppDomain;
-    /// use streamgrid_core::framework::StreamGrid;
-    /// use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
-    ///
-    /// let fw = StreamGrid::new(StreamGridConfig::cs_dt(SplitConfig::paper_cls()));
-    /// let report = fw.execute(AppDomain::Classification, 9 * 600).unwrap();
-    /// assert!(report.is_clean(), "CS+DT runs stall- and overflow-free");
-    /// assert!(report.total_uj() > 0.0);
-    /// ```
-    pub fn execute(
-        &self,
-        domain: AppDomain,
-        total_elements: u64,
-    ) -> Result<ExecutionReport, CompileError> {
-        self.execute_with(domain, total_elements, &ExecuteOptions::for_domain(domain))
-    }
-
-    /// [`StreamGrid::execute`] with explicit execution options.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CompileError`] from the ILP stage.
-    pub fn execute_with(
-        &self,
-        domain: AppDomain,
-        total_elements: u64,
-        options: &ExecuteOptions,
-    ) -> Result<ExecutionReport, CompileError> {
-        Ok(self.compile(domain, total_elements)?.execute(options))
-    }
-
-    /// [`StreamGrid::execute`] over an arbitrary [`PipelineSpec`] with
-    /// the spec's default options.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CompileError`] from the ILP stage.
-    pub fn execute_spec(
-        &self,
-        spec: &PipelineSpec,
-        total_elements: u64,
-    ) -> Result<ExecutionReport, CompileError> {
-        Ok(self
-            .compile_spec(spec, total_elements)?
-            .execute(&ExecuteOptions::for_spec(spec)))
-    }
 }
 
 impl CompiledPipeline {
@@ -509,6 +446,23 @@ impl CompiledPipeline {
     /// (`Auto` = the event-driven fast path exactly when the design is
     /// deterministic); the resolved choice is recorded in
     /// [`ExecutionReport::exec_mode`] and never changes results.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use streamgrid_core::apps::AppDomain;
+    /// use streamgrid_core::framework::{ExecuteOptions, StreamGrid};
+    /// use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
+    ///
+    /// let fw = StreamGrid::new(StreamGridConfig::cs_dt(SplitConfig::paper_cls()));
+    /// let spec = AppDomain::Classification.spec();
+    /// let report = fw
+    ///     .compile_spec(&spec, 9 * 600)
+    ///     .unwrap()
+    ///     .execute(&ExecuteOptions::for_spec(&spec));
+    /// assert!(report.is_clean(), "CS+DT runs stall- and overflow-free");
+    /// assert!(report.total_uj() > 0.0);
+    /// ```
     pub fn execute(&self, options: &ExecuteOptions) -> ExecutionReport {
         let deterministic = self.config.termination.is_some();
         let (latency, policy) = if deterministic {
@@ -631,19 +585,19 @@ mod tests {
         );
     }
 
+    /// The spec's paper defaults, as a session stream would run them.
+    fn cls_options() -> ExecuteOptions {
+        ExecuteOptions::for_spec(&AppDomain::Classification.spec())
+    }
+
     #[test]
     fn execute_unifies_compile_and_run() {
         let fw = StreamGrid::new(StreamGridConfig::cs_dt(SplitConfig::paper_cls()));
-        let report = fw.execute(AppDomain::Classification, 9 * 300).unwrap();
+        let compiled = fw.compile(AppDomain::Classification, 9 * 300).unwrap();
+        let report = compiled.execute(&cls_options());
         assert!(report.is_clean());
         assert_eq!(report.energy, report.run.energy);
-        assert_eq!(
-            report.onchip_bytes(),
-            fw.compile(AppDomain::Classification, 9 * 300)
-                .unwrap()
-                .summary()
-                .onchip_bytes
-        );
+        assert_eq!(report.onchip_bytes(), compiled.summary().onchip_bytes);
         assert!(report.dram_bytes() > 0);
         assert!(report.total_uj() > 0.0);
     }
@@ -653,28 +607,13 @@ mod tests {
         // A heavier datapath must cost more compute energy on the same
         // pipeline and schedule.
         let fw = StreamGrid::new(StreamGridConfig::cs_dt(SplitConfig::paper_cls()));
-        let light = fw
-            .execute_with(
-                AppDomain::Classification,
-                9 * 300,
-                &ExecuteOptions {
-                    macs_per_element: 16.0,
-                    ..ExecuteOptions::default()
-                },
-            )
-            .unwrap();
-        let heavy = fw.execute(AppDomain::Classification, 9 * 300).unwrap();
+        let compiled = fw.compile(AppDomain::Classification, 9 * 300).unwrap();
+        let light = compiled.execute(&ExecuteOptions {
+            macs_per_element: 16.0,
+            ..ExecuteOptions::default()
+        });
+        let heavy = compiled.execute(&cls_options());
         assert!(heavy.energy.compute_pj > light.energy.compute_pj);
-    }
-
-    #[test]
-    fn execute_spec_matches_domain_execute() {
-        let fw = StreamGrid::new(StreamGridConfig::cs_dt(SplitConfig::paper_cls()));
-        let via_spec = fw
-            .execute_spec(&AppDomain::Classification.spec(), 9 * 300)
-            .unwrap();
-        let via_domain = fw.execute(AppDomain::Classification, 9 * 300).unwrap();
-        assert_eq!(via_spec, via_domain);
     }
 
     #[test]
@@ -682,42 +621,34 @@ mod tests {
         // CS+DT is deterministic → the fast path runs; Base is variable
         // → the oracle runs. Both are recorded in the report.
         let csdt = StreamGrid::new(StreamGridConfig::cs_dt(SplitConfig::paper_cls()));
-        let report = csdt.execute(AppDomain::Classification, 9 * 300).unwrap();
-        assert_eq!(report.exec_mode, EngineMode::EventDriven);
+        let compiled = csdt.compile(AppDomain::Classification, 9 * 300).unwrap();
+        assert_eq!(
+            compiled.execute(&cls_options()).exec_mode,
+            EngineMode::EventDriven
+        );
 
-        let base = StreamGrid::new(StreamGridConfig::base());
-        let report = base.execute(AppDomain::Classification, 2700).unwrap();
-        assert_eq!(report.exec_mode, EngineMode::CycleAccurate);
+        let base = StreamGrid::new(StreamGridConfig::base())
+            .compile(AppDomain::Classification, 2700)
+            .unwrap();
+        assert_eq!(
+            base.execute(&cls_options()).exec_mode,
+            EngineMode::CycleAccurate
+        );
 
         // An explicit EventDriven request on a variable-latency design
         // records the oracle it fell back to.
-        let report = base
-            .execute_with(
-                AppDomain::Classification,
-                2700,
-                &ExecuteOptions::default().with_exec_mode(ExecMode::EventDriven),
-            )
-            .unwrap();
+        let report = base.execute(&ExecuteOptions::default().with_exec_mode(ExecMode::EventDriven));
         assert_eq!(report.exec_mode, EngineMode::CycleAccurate);
     }
 
     #[test]
     fn explicit_modes_are_bit_identical_under_dt() {
         let fw = StreamGrid::new(StreamGridConfig::cs_dt(SplitConfig::paper_cls()));
-        let oracle = fw
-            .execute_with(
-                AppDomain::Classification,
-                9 * 300,
-                &ExecuteOptions::default().with_exec_mode(ExecMode::CycleAccurate),
-            )
-            .unwrap();
-        let fast = fw
-            .execute_with(
-                AppDomain::Classification,
-                9 * 300,
-                &ExecuteOptions::default().with_exec_mode(ExecMode::EventDriven),
-            )
-            .unwrap();
+        let compiled = fw.compile(AppDomain::Classification, 9 * 300).unwrap();
+        let oracle =
+            compiled.execute(&ExecuteOptions::default().with_exec_mode(ExecMode::CycleAccurate));
+        let fast =
+            compiled.execute(&ExecuteOptions::default().with_exec_mode(ExecMode::EventDriven));
         assert_eq!(oracle.run, fast.run, "engines must agree bit-for-bit");
         assert_eq!(oracle.compile, fast.compile);
         assert_ne!(oracle.exec_mode, fast.exec_mode);

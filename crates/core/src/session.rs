@@ -22,7 +22,7 @@ use std::sync::Arc;
 use crate::cache::{spec_fingerprint, CompileRequest, InMemoryCache, ScheduleCache};
 use crate::framework::{CompiledPipeline, ExecuteOptions, ExecutionReport};
 use crate::pipeline::{CompileError, PipelineSpec};
-use crate::source::{FrameReport, FrameSource, ReplaySource, StreamOptions, StreamReport};
+use crate::source::{FrameReport, FrameSource, StreamOptions, StreamReport};
 use crate::transform::StreamGridConfig;
 
 /// A reusable execution session over one [`PipelineSpec`].
@@ -33,6 +33,9 @@ use crate::transform::StreamGridConfig;
 /// [`Session::set_config`]); the first run at a given
 /// `(config, chunk_elements)` key pays one ILP solve — unless the cache
 /// already holds it — and every later run reuses the schedule.
+/// [`Session::compiled`] hands out one cached design (run it with
+/// [`CompiledPipeline::execute`]); [`Session::stream`] runs a whole
+/// [`FrameSource`].
 /// [`Session::solver_invocations`] reports the solves the session's
 /// cache actually performed, so callers can assert the amortization they
 /// expect; with a shared cache that count covers every session sharing
@@ -45,15 +48,19 @@ use crate::transform::StreamGridConfig;
 /// ```
 /// use streamgrid_core::apps::AppDomain;
 /// use streamgrid_core::framework::StreamGrid;
+/// use streamgrid_core::source::{ReplaySource, StreamOptions};
 /// use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
 ///
 /// let fw = StreamGrid::new(StreamGridConfig::cs_dt(SplitConfig::linear(4, 2)));
 /// let mut session = fw.session(AppDomain::Classification.spec());
 /// // 2397 and 2400 source elements both stream as 600-element chunks.
-/// let reports = session.run_batch(&[2400, 2397, 2400]).unwrap();
-/// assert_eq!(reports.len(), 3);
+/// let sizes = [2400, 2397, 2400];
+/// let report = session
+///     .stream(ReplaySource::new(&sizes), &StreamOptions::default())
+///     .unwrap();
+/// assert_eq!(report.frame_count(), 3);
 /// assert_eq!(session.solver_invocations(), 1);
-/// assert!(reports.iter().all(|r| r.is_clean()));
+/// assert!(report.all_clean());
 /// ```
 #[derive(Debug)]
 pub struct Session {
@@ -76,7 +83,7 @@ pub struct Session {
 /// ```
 /// use streamgrid_core::apps::AppDomain;
 /// use streamgrid_core::cache::SharedCache;
-/// use streamgrid_core::framework::StreamGrid;
+/// use streamgrid_core::framework::{ExecuteOptions, StreamGrid};
 /// use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
 ///
 /// let fw = StreamGrid::new(StreamGridConfig::cs_dt(SplitConfig::linear(4, 2)));
@@ -85,7 +92,9 @@ pub struct Session {
 ///     .session_builder(AppDomain::Classification.spec())
 ///     .with_cache(shared.clone())
 ///     .build();
-/// assert!(session.run(4 * 300).unwrap().is_clean());
+/// let design = session.compiled(4 * 300).unwrap();
+/// let options = ExecuteOptions::for_spec(session.spec());
+/// assert!(design.execute(&options).is_clean());
 /// ```
 #[derive(Debug)]
 pub struct SessionBuilder {
@@ -123,8 +132,8 @@ impl SessionBuilder {
 
     /// Promotes linter findings (warnings included) to
     /// [`CompileError::LintDenied`]: every compile this session serves —
-    /// [`Session::run`], [`Session::stream`], batches — fails instead of
-    /// executing a design the linter flagged. Without this, findings
+    /// [`Session::compiled`] and every [`Session::stream`] frame — fails
+    /// instead of executing a design the linter flagged. Without this, findings
     /// still surface on [`ExecutionReport::lints`](crate::framework::ExecutionReport::lints).
     pub fn deny_lints(mut self) -> Self {
         self.deny_lints = true;
@@ -177,11 +186,6 @@ impl Session {
         self.cache.solver_invocations()
     }
 
-    /// Number of distinct compiled designs resident in the cache.
-    pub fn compiled_count(&self) -> usize {
-        self.cache.compiled_count()
-    }
-
     /// The compiled design for a cloud of `total_elements`, compiling
     /// (one ILP solve) on the first request per `(config,
     /// chunk_elements)` key and serving the cache afterwards.
@@ -199,9 +203,9 @@ impl Session {
         );
         let compiled = self.cache.get_or_compile(&req)?;
         // The one choke point every session compile flows through —
-        // run/run_batch/stream all land here, so denying lints in one
-        // place covers them all (cache hits included: lints are part of
-        // the compiled design).
+        // every stream frame lands here, so denying lints in one place
+        // covers them all (cache hits included: lints are part of the
+        // compiled design).
         if self.deny_lints && !compiled.lints.is_empty() {
             let rendered: Vec<String> = compiled.lints.iter().map(|d| d.render()).collect();
             return Err(CompileError::LintDenied(rendered.join("\n")));
@@ -317,85 +321,11 @@ impl Session {
             bucketing: options.bucketing,
         })
     }
-
-    /// Executes one cloud with the spec's default options (its datapath
-    /// intensity, default energy model and seed), compiling only on a
-    /// cache miss. A thin wrapper over [`Session::stream`] with a
-    /// single-frame [`ReplaySource`] and exact bucketing.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CompileError`] from the compile path.
-    pub fn run(&mut self, total_elements: u64) -> Result<ExecutionReport, CompileError> {
-        let options = ExecuteOptions::for_spec(&self.spec);
-        self.run_with(total_elements, &options)
-    }
-
-    /// [`Session::run`] with explicit execution options.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CompileError`] from the compile path.
-    pub fn run_with(
-        &mut self,
-        total_elements: u64,
-        options: &ExecuteOptions,
-    ) -> Result<ExecutionReport, CompileError> {
-        let report = self.stream(
-            ReplaySource::new(&[total_elements]),
-            &StreamOptions::default().with_exec(*options),
-        )?;
-        Ok(report
-            .frames
-            .into_iter()
-            .next()
-            .expect("a one-entry replay yields exactly one frame")
-            .report)
-    }
-
-    /// Executes many clouds sequentially, compiling each distinct
-    /// `(config, chunk_elements)` key exactly once. Reports come back
-    /// in input order and equal fresh one-shot [`StreamGrid::execute`](crate::framework::StreamGrid::execute)
-    /// calls. A thin wrapper over [`Session::stream`] with a
-    /// [`ReplaySource`] and exact bucketing.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`CompileError`] from the compile path.
-    pub fn run_batch(&mut self, sizes: &[u64]) -> Result<Vec<ExecutionReport>, CompileError> {
-        let report = self.stream(ReplaySource::new(sizes), &StreamOptions::default())?;
-        Ok(report.frames.into_iter().map(|f| f.report).collect())
-    }
-
-    /// [`Session::run_batch`] with the cycle-level executions fanned out
-    /// across all available cores — a thin wrapper over the same ordered
-    /// executor [`Session::stream`] uses for [`StreamOptions::workers`].
-    /// All distinct keys compile up front (sequential ILP solves);
-    /// execution is deterministic, so reports are identical to the
-    /// sequential batch, in input order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`CompileError`] from the compile path.
-    pub fn run_batch_parallel(
-        &mut self,
-        sizes: &[u64],
-    ) -> Result<Vec<ExecutionReport>, CompileError> {
-        let options = ExecuteOptions::for_spec(&self.spec);
-        let compiled: Vec<Arc<CompiledPipeline>> = sizes
-            .iter()
-            .map(|&total| self.compiled(total))
-            .collect::<Result<_, _>>()?;
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Ok(execute_ordered(&compiled, &options, workers))
-    }
 }
 
 /// Executes `compiled[i]` for every `i` under shared `options`,
-/// returning reports in input order — the one executor behind
-/// [`Session::stream`] and [`Session::run_batch_parallel`].
+/// returning reports in input order — the executor behind
+/// [`Session::stream`].
 ///
 /// Each distinct design runs **once**. Under shared options a frame's
 /// report is a function of its compiled design alone: deterministic
@@ -496,14 +426,21 @@ mod tests {
         StreamGrid::new(StreamGridConfig::cs_dt(SplitConfig::linear(4, 2)))
     }
 
+    /// One cloud through the session's cache under the spec's defaults.
+    fn run_one(s: &mut Session, total_elements: u64) -> Result<ExecutionReport, CompileError> {
+        Ok(s.compiled(total_elements)?
+            .execute(&ExecuteOptions::for_spec(s.spec())))
+    }
+
     #[test]
     fn cache_hits_skip_solves() {
         let mut s = csdt4().session(AppDomain::Classification.spec());
-        s.run(4 * 300).unwrap();
-        s.run(4 * 300).unwrap();
-        s.run(4 * 600).unwrap();
+        let a = s.compiled(4 * 300).unwrap();
+        let again = s.compiled(4 * 300).unwrap();
+        let b = s.compiled(4 * 600).unwrap();
         assert_eq!(s.solver_invocations(), 2);
-        assert_eq!(s.compiled_count(), 2);
+        assert!(Arc::ptr_eq(&a, &again), "a hit hands out the cached design");
+        assert!(!Arc::ptr_eq(&a, &b));
     }
 
     #[test]
@@ -512,10 +449,10 @@ mod tests {
         // 2397 and 2400 total elements both round up to 600-element
         // chunks; 2401 needs 601-element chunks (ceiling division — no
         // element may be dropped).
-        s.run(2400).unwrap();
-        s.run(2397).unwrap();
+        s.compiled(2400).unwrap();
+        s.compiled(2397).unwrap();
         assert_eq!(s.solver_invocations(), 1);
-        s.run(2401).unwrap();
+        s.compiled(2401).unwrap();
         assert_eq!(s.solver_invocations(), 2);
     }
 
@@ -524,72 +461,61 @@ mod tests {
         let csdt = StreamGridConfig::cs_dt(SplitConfig::linear(4, 2));
         let base = StreamGridConfig::base();
         let mut s = StreamGrid::new(csdt).session(AppDomain::Classification.spec());
-        s.run(4 * 300).unwrap();
+        s.compiled(4 * 300).unwrap();
         s.set_config(base);
-        s.run(4 * 300).unwrap();
+        s.compiled(4 * 300).unwrap();
         assert_eq!(s.solver_invocations(), 2);
         // Switching back re-hits the first entry.
         s.set_config(csdt);
-        s.run(4 * 300).unwrap();
+        s.compiled(4 * 300).unwrap();
         assert_eq!(s.solver_invocations(), 2);
     }
 
     #[test]
     fn session_reports_match_one_shot_execute() {
         let fw = csdt4();
-        let mut s = fw.session(AppDomain::Registration.spec());
-        let cached = s.run(4 * 400).unwrap();
-        let fresh = fw.execute(AppDomain::Registration, 4 * 400).unwrap();
+        let spec = AppDomain::Registration.spec();
+        let mut s = fw.session(spec.clone());
+        let solved = run_one(&mut s, 4 * 400).unwrap();
+        let cached = run_one(&mut s, 4 * 400).unwrap();
+        assert_eq!(s.solver_invocations(), 1);
+        let fresh = fw
+            .compile_spec(&spec, 4 * 400)
+            .unwrap()
+            .execute(&ExecuteOptions::for_spec(&spec));
+        assert_eq!(solved, fresh);
         assert_eq!(cached, fresh);
     }
 
     #[test]
     fn session_runs_resolve_and_record_exec_mode() {
-        use crate::framework::{ExecMode, ExecuteOptions};
+        use crate::framework::ExecMode;
+        use crate::source::{ReplaySource, StreamOptions};
         use streamgrid_sim::EngineMode;
 
+        let one_frame = |s: &mut Session, options: &StreamOptions| {
+            let mut report = s.stream(ReplaySource::new(&[4 * 300]), options).unwrap();
+            report.frames.remove(0).report
+        };
         let mut s = csdt4().session(AppDomain::Classification.spec());
         // Default options carry ExecMode::Auto: event-driven under CS+DT.
-        let auto = s.run(4 * 300).unwrap();
+        let auto = one_frame(&mut s, &StreamOptions::default());
         assert_eq!(auto.exec_mode, EngineMode::EventDriven);
-        // Forcing the oracle through the same session changes the engine
-        // but not one bit of the run report.
-        let oracle = s
-            .run_with(
-                4 * 300,
-                &ExecuteOptions::for_spec(&AppDomain::Classification.spec())
-                    .with_exec_mode(ExecMode::CycleAccurate),
-            )
-            .unwrap();
+        // Forcing the oracle through the stream's exec override changes
+        // the engine but not one bit of the run report.
+        let forced = StreamOptions::default().with_exec(
+            ExecuteOptions::for_spec(&AppDomain::Classification.spec())
+                .with_exec_mode(ExecMode::CycleAccurate),
+        );
+        let oracle = one_frame(&mut s, &forced);
         assert_eq!(oracle.exec_mode, EngineMode::CycleAccurate);
         assert_eq!(auto.run, oracle.run);
         // Base (variable latency) resolves Auto to the oracle.
         s.set_config(StreamGridConfig::base());
-        assert_eq!(s.run(4 * 300).unwrap().exec_mode, EngineMode::CycleAccurate);
-    }
-
-    #[test]
-    fn stream_replay_matches_run_batch() {
-        use crate::source::{ReplaySource, StreamOptions};
-
-        let sizes = [4 * 300, 4 * 450, 4 * 300, 4 * 600];
-        let fw = csdt4();
-        let mut batch_session = fw.session(AppDomain::Classification.spec());
-        let mut stream_session = fw.session(AppDomain::Classification.spec());
-        let batch = batch_session.run_batch(&sizes).unwrap();
-        let stream = stream_session
-            .stream(ReplaySource::new(&sizes), &StreamOptions::default())
-            .unwrap();
-        assert_eq!(stream.frame_count(), sizes.len() as u64);
-        for (frame, report) in stream.frames.iter().zip(&batch) {
-            assert_eq!(&frame.report, report);
-            assert_eq!(frame.scheduled_elements, frame.frame.elements);
-        }
         assert_eq!(
-            stream.solver_invocations,
-            batch_session.solver_invocations()
+            one_frame(&mut s, &StreamOptions::default()).exec_mode,
+            EngineMode::CycleAccurate
         );
-        assert_eq!(stream.source_elements(), sizes.iter().sum::<u64>());
     }
 
     #[test]
@@ -637,7 +563,7 @@ mod tests {
         use crate::source::{ReplaySource, StreamOptions};
 
         let mut s = csdt4().session(AppDomain::Classification.spec());
-        s.run(4 * 300).unwrap();
+        s.compiled(4 * 300).unwrap();
         assert_eq!(s.solver_invocations(), 1);
         // The replayed size is already cached: the stream pays nothing.
         let report = s
@@ -663,18 +589,6 @@ mod tests {
             .unwrap();
         assert_eq!(report.frame_count(), 5);
         assert_eq!(report.solver_invocations, 1);
-    }
-
-    #[test]
-    fn parallel_batch_equals_sequential() {
-        let sizes = [4 * 300, 4 * 450, 4 * 600, 4 * 300];
-        let fw = csdt4();
-        let mut seq = fw.session(AppDomain::Classification.spec());
-        let mut par = fw.session(AppDomain::Classification.spec());
-        let a = seq.run_batch(&sizes).unwrap();
-        let b = par.run_batch_parallel(&sizes).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(seq.solver_invocations(), par.solver_invocations());
     }
 
     #[test]
@@ -749,7 +663,10 @@ mod tests {
         let fw = csdt4();
         let mut plain = fw.session(AppDomain::Classification.spec());
         let mut built = fw.session_builder(AppDomain::Classification.spec()).build();
-        assert_eq!(plain.run(4 * 300).unwrap(), built.run(4 * 300).unwrap());
+        assert_eq!(
+            run_one(&mut plain, 4 * 300).unwrap(),
+            run_one(&mut built, 4 * 300).unwrap()
+        );
         assert_eq!(plain.solver_invocations(), built.solver_invocations());
     }
 
@@ -768,7 +685,7 @@ mod tests {
         // A permissive session still runs and surfaces the finding on
         // the report.
         let mut lax = fw.session(AppDomain::Classification.spec());
-        let report = lax.run(1200).unwrap();
+        let report = run_one(&mut lax, 1200).unwrap();
         assert!(report.lints.warnings >= 1);
         assert!(report.lints.messages.iter().any(|m| m.contains("SG004")));
 
@@ -777,7 +694,7 @@ mod tests {
             .session_builder(AppDomain::Classification.spec())
             .deny_lints()
             .build();
-        match strict.run(1200) {
+        match strict.compiled(1200) {
             Err(CompileError::LintDenied(msg)) => assert!(msg.contains("SG004")),
             other => panic!("expected LintDenied, got {other:?}"),
         }
@@ -789,7 +706,7 @@ mod tests {
             .session_builder(AppDomain::Classification.spec())
             .deny_lints()
             .build();
-        let report = s.run(4 * 300).unwrap();
+        let report = run_one(&mut s, 4 * 300).unwrap();
         assert!(report.lints.is_clean());
     }
 }

@@ -175,9 +175,9 @@ impl FrameSource for SyntheticSource {
     }
 }
 
-/// Replays a recorded sequence of frame sizes — what
-/// [`crate::session::Session::run_batch`] wraps, and the source to use
-/// when reproducing a trace without its payloads.
+/// Replays a recorded sequence of frame sizes — the source to use for a
+/// batch of known cloud sizes, or when reproducing a trace without its
+/// payloads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplaySource {
     sizes: Vec<u64>,

@@ -38,7 +38,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use streamgrid_core::cache::{ScheduleCache, SharedCache};
@@ -240,6 +240,46 @@ struct State {
     results: Vec<(usize, u64, FrameOutcome)>,
     /// Scheduler is finished; workers drain and exit.
     done: bool,
+    /// A worker panicked: the scheduler stops so `run` can re-raise it.
+    worker_panicked: bool,
+}
+
+impl SyncState {
+    /// Locks the state for an unwind guard, even if the panic poisoned
+    /// the mutex: a guard only signals shutdown, and `Drop` must not
+    /// panic.
+    fn lock_unpoisoned(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Releases the workers however the scheduler exits: sets `done` and
+/// wakes every worker parked on `work`. On a normal return that is the
+/// shutdown; on an unwind (say, a panic inside a compile) it lets the
+/// workers drain and exit, so `thread::scope` can re-raise the panic
+/// instead of waiting on them forever.
+struct SchedulerExit<'a>(&'a SyncState);
+
+impl Drop for SchedulerExit<'_> {
+    fn drop(&mut self) {
+        self.0.lock_unpoisoned().done = true;
+        self.0.work.notify_all();
+    }
+}
+
+/// Flags a worker that unwinds (a panic inside an execution) and wakes
+/// the scheduler parked on `space`, which then stops scheduling and
+/// returns, so `thread::scope` re-raises the panic out of `run` instead
+/// of waiting for a completion that never lands.
+struct WorkerPanicFlag<'a>(&'a SyncState);
+
+impl Drop for WorkerPanicFlag<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock_unpoisoned().worker_panicked = true;
+            self.0.space.notify_all();
+        }
+    }
 }
 
 /// The multi-tenant streaming server. Submit tenants, then [`run`] the
@@ -461,6 +501,12 @@ impl StreamServer {
     /// admitted FIFO as finishing tenants release their tokens. A
     /// tenant whose compile fails, or whose source panics, records the
     /// error on its report and stops — other tenants keep running.
+    ///
+    /// # Panics
+    ///
+    /// Any other panic — in a compile on the scheduler thread or in an
+    /// execution on a worker — stops the server and propagates out of
+    /// `run`.
     pub fn run(self) -> ServerReport {
         let workers = self.config.effective_workers();
         let queue_depth = self.config.effective_queue_depth(workers);
@@ -500,6 +546,7 @@ impl StreamServer {
                 completed: vec![0; tenants.len()],
                 results: Vec::new(),
                 done: false,
+                worker_panicked: false,
             }),
             work: Condvar::new(),
             space: Condvar::new(),
@@ -548,8 +595,15 @@ fn schedule(
     // Projections never change after submission; snapshot them so the
     // FIFO admission sweep can borrow them while mutating the tenants.
     let projections: Vec<u64> = tenants.iter().map(|t| t.projected).collect();
-    let mut st = shared.state.lock().expect("workers do not panic");
+    // Every exit — the returns below or an unwind — shuts the workers
+    // down through this guard.
+    let _exit = SchedulerExit(shared);
+    let mut st = shared.state.lock().expect("no thread panics while locked");
     loop {
+        // A worker panicked: stop, so `run` can re-raise it.
+        if st.worker_panicked {
+            return;
+        }
         // Phase A (locked): harvest finishes — a tenant is finished
         // when it is exhausted and every pulled frame has completed.
         // Release its tokens and admit waitlisted tenants FIFO while
@@ -569,8 +623,6 @@ fn schedule(
         // rejects projections above total capacity, and a drained
         // server has every token free.)
         if waitlist.is_empty() && tenants.iter().all(|t| !t.active || t.released) {
-            st.done = true;
-            shared.work.notify_all();
             return;
         }
 
@@ -589,7 +641,10 @@ fn schedule(
             // Every runnable tenant is backed up, or only in-flight
             // work remains: wait for a worker to free a slot or finish
             // a frame, then re-evaluate from the top.
-            st = shared.space.wait(st).expect("workers do not panic");
+            st = shared
+                .space
+                .wait(st)
+                .expect("no thread panics while locked");
             continue;
         };
         cursor = (i + 1) % tenants.len();
@@ -613,9 +668,8 @@ fn schedule(
             None
         } else {
             // A panicking source ends its own tenant, like a compile
-            // error. Unwinding out of the scheduler would leave the
-            // workers parked on `work`, so `run` would never return.
-            // The source is never pulled again.
+            // error, instead of unwinding out of the whole run. The
+            // source is never pulled again.
             panic::catch_unwind(AssertUnwindSafe(|| t.source.next_frame())).unwrap_or_else(
                 |payload| {
                     t.source_panic = Some(SourcePanic::new(t.pulled, payload.as_ref()));
@@ -625,7 +679,7 @@ fn schedule(
         };
         let Some(frame) = frame else {
             t.exhausted = true;
-            st = shared.state.lock().expect("workers do not panic");
+            st = shared.state.lock().expect("no thread panics while locked");
             continue;
         };
         let bucketing = match (under_pressure, degraded_bucketing) {
@@ -643,7 +697,7 @@ fn schedule(
                 // in flight still complete and land on its report.
                 t.error = Some(err);
                 t.exhausted = true;
-                st = shared.state.lock().expect("workers do not panic");
+                st = shared.state.lock().expect("no thread panics while locked");
                 continue;
             }
         };
@@ -668,7 +722,7 @@ fn schedule(
         };
 
         // Phase D (locked): enqueue and wake one worker.
-        st = shared.state.lock().expect("workers do not panic");
+        st = shared.state.lock().expect("no thread panics while locked");
         st.queues[tenants[i].spec.qos.index()].push_back(job);
         shared.work.notify_one();
     }
@@ -677,8 +731,9 @@ fn schedule(
 /// Workers: WFQ-pick a job, signal freed space, execute (or shed), and
 /// record the outcome.
 fn worker_loop(shared: &SyncState) {
+    let _flag = WorkerPanicFlag(shared);
     loop {
-        let mut st = shared.state.lock().expect("scheduler does not panic");
+        let mut st = shared.state.lock().expect("no thread panics while locked");
         let job = loop {
             if let Some(job) = pick_job(&mut st) {
                 break job;
@@ -686,7 +741,7 @@ fn worker_loop(shared: &SyncState) {
             if st.done {
                 return;
             }
-            st = shared.work.wait(st).expect("scheduler does not panic");
+            st = shared.work.wait(st).expect("no thread panics while locked");
         };
         // The pop freed a queue slot; the scheduler may be waiting on it.
         shared.space.notify_one();
@@ -708,7 +763,7 @@ fn worker_loop(shared: &SyncState) {
             }
         };
 
-        let mut st = shared.state.lock().expect("scheduler does not panic");
+        let mut st = shared.state.lock().expect("no thread panics while locked");
         st.completed[job.tenant] += 1;
         st.results.push((job.tenant, job.seq, outcome));
         // A completion can finish a tenant; the scheduler harvests on
@@ -849,5 +904,102 @@ fn assemble_report(
         solver_invocations,
         workers,
         lints: LintSummary::from_diagnostics(&all_diags),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+    use streamgrid_core::apps::AppDomain;
+    use streamgrid_core::cache::CompileRequest;
+    use streamgrid_core::source::SyntheticSource;
+    use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
+
+    /// Wall budget for a run that must unwind. Without the unwind
+    /// guards these runs never return, so a hang fails the test here.
+    const BUDGET: Duration = Duration::from_secs(60);
+
+    /// Serves designs with one line buffer missing, so the engine's
+    /// dimension check panics inside every worker execution.
+    #[derive(Debug)]
+    struct DroppedBufferCache;
+
+    impl ScheduleCache for DroppedBufferCache {
+        fn get_or_compile(
+            &self,
+            req: &CompileRequest<'_>,
+        ) -> Result<Arc<CompiledPipeline>, CompileError> {
+            let mut compiled = req.solve()?;
+            compiled.schedule.buffer_sizes.pop();
+            Ok(Arc::new(compiled))
+        }
+
+        fn solver_invocations(&self) -> u64 {
+            0
+        }
+
+        fn compiled_count(&self) -> usize {
+            0
+        }
+    }
+
+    /// Panics on every compile: a panic on the scheduler thread, inside
+    /// `Session::compiled`, outside the guarded source pull.
+    #[derive(Debug)]
+    struct PanickingCache;
+
+    impl ScheduleCache for PanickingCache {
+        fn get_or_compile(
+            &self,
+            _req: &CompileRequest<'_>,
+        ) -> Result<Arc<CompiledPipeline>, CompileError> {
+            panic!("compile failed inside the cache")
+        }
+
+        fn solver_invocations(&self) -> u64 {
+            0
+        }
+
+        fn compiled_count(&self) -> usize {
+            0
+        }
+    }
+
+    /// Runs a two-worker server whose one tenant compiles through
+    /// `cache`, on its own thread, and returns how `run` ended — or
+    /// fails the test if it has not ended within [`BUDGET`].
+    fn run_through(cache: impl ScheduleCache + 'static) -> std::thread::Result<ServerReport> {
+        let config = StreamGridConfig::cs_dt(SplitConfig::linear(4, 2));
+        let spec = TenantSpec::new("t", AppDomain::Classification.spec(), config);
+        let mut server = StreamServer::new(ServerConfig::default().with_workers(2));
+        server
+            .submit(spec.clone(), SyntheticSource::new(4 * 300, 8))
+            .unwrap();
+        server.tenants[0].session = StreamGrid::new(config)
+            .session_builder(spec.pipeline)
+            .with_cache(cache)
+            .build();
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(panic::catch_unwind(AssertUnwindSafe(|| server.run())));
+        });
+        rx.recv_timeout(BUDGET)
+            .expect("run must unwind within the budget, not hang")
+    }
+
+    #[test]
+    fn worker_execute_panic_propagates_out_of_run() {
+        assert!(run_through(DroppedBufferCache).is_err());
+    }
+
+    #[test]
+    fn scheduler_compile_panic_releases_workers_and_propagates() {
+        let err = run_through(PanickingCache).expect_err("the compile panic must surface");
+        assert_eq!(
+            err.downcast_ref::<&str>(),
+            Some(&"compile failed inside the cache"),
+            "run re-raises the scheduler's own panic"
+        );
     }
 }

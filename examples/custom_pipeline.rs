@@ -12,6 +12,7 @@
 use streamgrid_core::framework::StreamGrid;
 use streamgrid_core::pipeline::{CompileError, PipelineSpec};
 use streamgrid_core::registry::PipelineRegistry;
+use streamgrid_core::source::{ReplaySource, StreamOptions};
 use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
 use streamgrid_dataflow::Shape;
 
@@ -73,17 +74,20 @@ fn main() {
     // Three cloud sizes over one session: distinct chunkings compile
     // once, the repeated size is a pure cache hit.
     let sizes = [4 * 2048 * 3, 4 * 4096 * 3, 4 * 8192 * 3, 4 * 4096 * 3];
-    let reports = session.run_batch(&sizes).expect("CS+DT compiles and runs");
+    let stream = session
+        .stream(ReplaySource::new(&sizes), &StreamOptions::default())
+        .expect("CS+DT compiles and runs");
 
     println!(
         "{:>14} {:>14} {:>12} {:>11} {:>9}",
         "elements", "on-chip bytes", "cycles", "mem stalls", "starved"
     );
-    for (&elements, report) in sizes.iter().zip(&reports) {
+    for frame in &stream.frames {
+        let report = &frame.report;
         assert!(report.is_clean(), "CS+DT must run stall- and overflow-free");
         println!(
             "{:>14} {:>14} {:>12} {:>11} {:>9}",
-            elements,
+            frame.frame.elements,
             report.onchip_bytes(),
             report.run.cycles,
             report.run.stall_cycles,

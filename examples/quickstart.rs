@@ -24,7 +24,7 @@ fn main() {
 
     let options = ExecuteOptions {
         seed: 42,
-        ..ExecuteOptions::for_domain(AppDomain::Classification)
+        ..ExecuteOptions::for_spec(&AppDomain::Classification.spec())
     };
     // One session over the preset spec; each variant is a config switch
     // and the compile cache keeps every solved schedule around.
@@ -37,8 +37,9 @@ fn main() {
     ] {
         session.set_config(config);
         let report = session
-            .run_with(elements, &options)
-            .expect("pipeline compiles and runs");
+            .compiled(elements)
+            .expect("pipeline compiles")
+            .execute(&options);
         println!(
             "{:<10} {:>14} {:>12} {:>11} {:>9} {:>12} {:>13.2}",
             label,

@@ -24,7 +24,7 @@ fn csdt_runs_clean_across_all_domains_and_chunkings() {
             let report = compiled
                 .execute(&ExecuteOptions {
                     seed: 3,
-                    ..ExecuteOptions::for_domain(domain)
+                    ..ExecuteOptions::for_spec(&domain.spec())
                 })
                 .run;
             assert_eq!(report.overflow_edge, None, "{domain:?} n={n} overflowed");
@@ -43,19 +43,20 @@ fn csdt_runs_clean_across_all_domains_and_chunkings() {
 
 #[test]
 fn unified_execute_covers_every_domain() {
-    // The single compile→execute→report entry point (Fig. 1 end to end):
-    // one call must produce a consistent compile summary, run report,
-    // and energy tally on every Tbl. 2 domain.
+    // The compile→execute→report path (Fig. 1 end to end) must produce
+    // a consistent compile summary, run report, and energy tally on
+    // every Tbl. 2 domain.
     for domain in AppDomain::ALL {
         let fw = StreamGrid::new(StreamGridConfig::cs_dt(SplitConfig::linear(4, 2)));
-        let report = fw
-            .execute(domain, 4 * 600)
+        let spec = domain.spec();
+        let compiled = fw
+            .compile_spec(&spec, 4 * 600)
             .unwrap_or_else(|e| panic!("{domain:?}: {e}"));
+        let report = compiled.execute(&ExecuteOptions::for_spec(&spec));
         assert!(report.is_clean(), "{domain:?}: CS+DT must run clean");
         assert!(report.run.cycles > 0, "{domain:?}");
         assert_eq!(report.energy, report.run.energy, "{domain:?}");
         assert!(report.total_uj() > 0.0, "{domain:?}");
-        let compiled = fw.compile(domain, 4 * 600).unwrap();
         assert_eq!(report.compile, compiled.summary(), "{domain:?}");
     }
 }
@@ -65,7 +66,9 @@ fn simulated_throughput_matches_plan_across_domains() {
     for domain in AppDomain::ALL {
         let config = StreamGridConfig::cs_dt(SplitConfig::linear(4, 2));
         let compiled = StreamGrid::new(config).compile(domain, 4 * 600).unwrap();
-        let report = compiled.execute(&ExecuteOptions::for_domain(domain)).run;
+        let report = compiled
+            .execute(&ExecuteOptions::for_spec(&domain.spec()))
+            .run;
         let planned = compiled
             .plan
             .total_cycles(compiled.schedule.makespan, compiled.n_chunks);
@@ -175,14 +178,14 @@ fn custom_pipeline_through_public_interface() {
     let fw = StreamGrid::new(StreamGridConfig::cs_dt(SplitConfig::linear(4, 2)));
     let mut session = fw.session(spec);
     let elements = 768u64;
-    let report = session.run(4 * elements).unwrap();
+    let compiled = session.compiled(4 * elements).unwrap();
+    let report = compiled.execute(&ExecuteOptions::for_spec(session.spec()));
     assert_eq!(report.run.overflow_edge, None);
     assert_eq!(report.run.stall_cycles, 0);
-    let compiled = session.compiled(4 * elements).unwrap();
     assert_eq!(compiled.chunk_elements, elements);
     // The kNN window holds 2 chunks of source data.
     assert!(compiled.schedule.buffer_sizes[0] >= 2 * elements);
     // The second cloud is a pure cache hit.
-    session.run(4 * elements).unwrap();
+    session.compiled(4 * elements).unwrap();
     assert_eq!(session.solver_invocations(), 1);
 }

@@ -9,6 +9,7 @@
 use proptest::prelude::*;
 use streamgrid_core::framework::{ExecMode, ExecuteOptions, StreamGrid};
 use streamgrid_core::registry::PipelineRegistry;
+use streamgrid_core::source::{ReplaySource, StreamOptions};
 use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
 use streamgrid_dataflow::{DataflowGraph, Shape};
 use streamgrid_optimizer::{edge_infos, optimize, plan_multi_chunk, OptimizeConfig};
@@ -47,21 +48,31 @@ fn registry_presets_equivalent_across_chunk_counts() {
 }
 
 /// The `Auto` default picks the event engine for deterministic designs
-/// and reproduces exactly what the oracle would have reported.
+/// and reproduces exactly what a stream forced onto the oracle (through
+/// `StreamOptions::with_exec`) reports.
 #[test]
 fn auto_mode_is_equivalent_to_forced_oracle() {
     let registry = PipelineRegistry::with_paper_apps();
     let fw = StreamGrid::new(StreamGridConfig::cs_dt(SplitConfig::linear(9, 2)));
+    let sizes = [9 * 300];
     for spec in registry.specs() {
         let mut session = fw.session(spec.clone());
-        let auto = session.run(9 * 300).expect("runs");
+        let auto = session
+            .stream(ReplaySource::new(&sizes), &StreamOptions::default())
+            .expect("streams");
+        let forced = StreamOptions::default()
+            .with_exec(ExecuteOptions::for_spec(spec).with_exec_mode(ExecMode::CycleAccurate));
         let oracle = session
-            .run_with(
-                9 * 300,
-                &ExecuteOptions::for_spec(spec).with_exec_mode(ExecMode::CycleAccurate),
-            )
-            .expect("runs");
+            .stream(ReplaySource::new(&sizes), &forced)
+            .expect("streams");
+        let (auto, oracle) = (&auto.frames[0].report, &oracle.frames[0].report);
         assert_eq!(auto.exec_mode, EngineMode::EventDriven, "{}", spec.name());
+        assert_eq!(
+            oracle.exec_mode,
+            EngineMode::CycleAccurate,
+            "{}",
+            spec.name()
+        );
         assert_eq!(auto.run, oracle.run, "{}", spec.name());
     }
 }

@@ -5,14 +5,16 @@
 //!    `PipelineBuilder`, must compile to byte-identical summaries vs the
 //!    legacy hand-wired `dataflow_graph()` match (reconstructed verbatim
 //!    below);
-//! 2. `Session::run_batch` must perform exactly one ILP solve per
-//!    distinct `(config, chunk_elements)` key, and its reports must
-//!    equal fresh one-shot `execute()` calls.
+//! 2. an exact-bucketed `Session::stream` must perform exactly one ILP
+//!    solve per distinct `(config, chunk_elements)` key, and its frame
+//!    reports must equal fresh one-shot compile-then-execute calls.
 
 use streamgrid_core::apps::AppDomain;
-use streamgrid_core::framework::StreamGrid;
+use streamgrid_core::framework::{ExecuteOptions, ExecutionReport, StreamGrid};
 use streamgrid_core::pipeline::{CompileError, PipelineSpec};
 use streamgrid_core::registry::PipelineRegistry;
+use streamgrid_core::session::Session;
+use streamgrid_core::source::{ReplaySource, StreamOptions};
 use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
 use streamgrid_dataflow::{DataflowGraph, Shape};
 
@@ -162,35 +164,34 @@ fn session_batch_solves_once_per_distinct_key() {
         // Four cloud sizes, three distinct chunkings (1200 repeats and
         // 1199 rounds up to the same 300-element chunks as 1200).
         let sizes = [4 * 300, 4 * 450, 4 * 600, 4 * 300 - 1];
-        let batch = session.run_batch(&sizes).unwrap();
+        let batch = replay(&mut session, &sizes);
         assert_eq!(
             session.solver_invocations(),
             3,
             "{domain:?}: one ILP solve per distinct (config, chunk_elements) key"
         );
-        // Batch reports equal fresh one-shot execute() calls.
+        // Batch reports equal fresh one-shot compile-then-execute calls.
+        let spec = domain.spec();
         for (&total, report) in sizes.iter().zip(&batch) {
-            let fresh = fw.execute(domain, total).unwrap();
+            let fresh = fw
+                .compile_spec(&spec, total)
+                .unwrap()
+                .execute(&ExecuteOptions::for_spec(&spec));
             assert_eq!(report, &fresh, "{domain:?} at {total} elements");
         }
         // Re-running the whole batch performs zero additional solves.
-        let again = session.run_batch(&sizes).unwrap();
+        let again = replay(&mut session, &sizes);
         assert_eq!(batch, again);
         assert_eq!(session.solver_invocations(), 3, "{domain:?}");
     }
 }
 
-#[test]
-fn parallel_batch_matches_sequential_and_oneshot() {
-    let fw = StreamGrid::new(StreamGridConfig::cs_dt(SplitConfig::linear(4, 2)));
-    let sizes = [4 * 300, 4 * 450, 4 * 600];
-    let mut session = fw.session(AppDomain::NeuralRendering.spec());
-    let parallel = session.run_batch_parallel(&sizes).unwrap();
-    assert_eq!(session.solver_invocations(), 3);
-    for (&total, report) in sizes.iter().zip(&parallel) {
-        let fresh = fw.execute(AppDomain::NeuralRendering, total).unwrap();
-        assert_eq!(report, &fresh, "parallel batch diverged at {total}");
-    }
+/// Streams `sizes` in order with exact bucketing; one report per size.
+fn replay(session: &mut Session, sizes: &[u64]) -> Vec<ExecutionReport> {
+    let stream = session
+        .stream(ReplaySource::new(sizes), &StreamOptions::default())
+        .unwrap();
+    stream.frames.into_iter().map(|f| f.report).collect()
 }
 
 #[test]

@@ -13,12 +13,27 @@ use std::path::PathBuf;
 
 use streamgrid_core::apps::AppDomain;
 use streamgrid_core::cache::{FileCache, ScheduleCache, SharedCache};
-use streamgrid_core::framework::StreamGrid;
+use streamgrid_core::framework::{ExecuteOptions, ExecutionReport, StreamGrid};
+use streamgrid_core::session::Session;
 use streamgrid_core::source::{ReplaySource, SizeBucketing, StreamOptions};
 use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
 
 fn csdt4() -> StreamGrid {
     StreamGrid::new(StreamGridConfig::cs_dt(SplitConfig::linear(4, 2)))
+}
+
+/// One cloud through the session's cache under the spec's defaults.
+fn run_one(session: &mut Session, total_elements: u64) -> ExecutionReport {
+    let options = ExecuteOptions::for_spec(session.spec());
+    session.compiled(total_elements).unwrap().execute(&options)
+}
+
+/// Exact-bucketed replay of `sizes`; one report per size, in order.
+fn replay(session: &mut Session, sizes: &[u64]) -> Vec<ExecutionReport> {
+    let stream = session
+        .stream(ReplaySource::new(sizes), &StreamOptions::default())
+        .unwrap();
+    stream.frames.into_iter().map(|f| f.report).collect()
 }
 
 /// A unique scratch directory per test (tests run concurrently in one
@@ -58,9 +73,9 @@ fn shared_cache_pays_one_solve_across_sessions() {
         .with_cache(shared.clone())
         .build();
 
-    let report_a = a.run(4 * 300).unwrap();
+    let report_a = run_one(&mut a, 4 * 300);
     assert_eq!(shared.solver_invocations(), 1);
-    let report_b = b.run(4 * 300).unwrap();
+    let report_b = run_one(&mut b, 4 * 300);
     // b's run hit the schedule a already solved: still one solve total,
     // reported identically through both sessions.
     assert_eq!(shared.solver_invocations(), 1);
@@ -71,11 +86,11 @@ fn shared_cache_pays_one_solve_across_sessions() {
     // Private sessions see the same results; sharing changes accounting,
     // never reports.
     let mut private = fw.session(AppDomain::Classification.spec());
-    assert_eq!(private.run(4 * 300).unwrap(), report_a);
+    assert_eq!(run_one(&mut private, 4 * 300), report_a);
 
     // A new size is one more solve, shared by both sessions again.
-    a.run(4 * 600).unwrap();
-    b.run(4 * 600).unwrap();
+    run_one(&mut a, 4 * 600);
+    run_one(&mut b, 4 * 600);
     assert_eq!(shared.solver_invocations(), 2);
     assert_eq!(shared.compiled_count(), 2);
 }
@@ -94,16 +109,22 @@ fn shared_cache_keys_are_spec_scoped() {
         .session_builder(AppDomain::Registration.spec())
         .with_cache(shared.clone())
         .build();
-    let a = cls.run(4 * 300).unwrap();
-    let b = reg.run(4 * 300).unwrap();
+    let a = run_one(&mut cls, 4 * 300);
+    let b = run_one(&mut reg, 4 * 300);
     assert_eq!(
         shared.solver_invocations(),
         2,
         "distinct specs must not fold"
     );
     assert_ne!(a, b, "designs from different specs must differ");
-    assert_eq!(a, fw.execute(AppDomain::Classification, 4 * 300).unwrap());
-    assert_eq!(b, fw.execute(AppDomain::Registration, 4 * 300).unwrap());
+    for (report, domain) in [(a, AppDomain::Classification), (b, AppDomain::Registration)] {
+        let spec = domain.spec();
+        let fresh = fw
+            .compile_spec(&spec, 4 * 300)
+            .unwrap()
+            .execute(&ExecuteOptions::for_spec(&spec));
+        assert_eq!(report, fresh, "{domain:?}");
+    }
 }
 
 /// Acceptance pin: compile → persist → fresh process-like load (new
@@ -120,7 +141,7 @@ fn file_cache_round_trips_with_zero_warm_solves() {
         .session_builder(AppDomain::Classification.spec())
         .with_cache(FileCache::new(&scratch.0))
         .build();
-    let cold_reports = cold.run_batch(&sizes).unwrap();
+    let cold_reports = replay(&mut cold, &sizes);
     assert_eq!(
         cold.solver_invocations(),
         2,
@@ -138,7 +159,7 @@ fn file_cache_round_trips_with_zero_warm_solves() {
         .session_builder(AppDomain::Classification.spec())
         .with_cache(warm_cache)
         .build();
-    let warm_reports = warm.run_batch(&sizes).unwrap();
+    let warm_reports = replay(&mut warm, &sizes);
     assert_eq!(
         warm.solver_invocations(),
         0,
@@ -203,7 +224,7 @@ fn corrupt_cache_files_fall_back_to_clean_solves() {
         .session_builder(AppDomain::Classification.spec())
         .with_cache(FileCache::new(&scratch.0))
         .build();
-    let expected = cold.run(4 * 300).unwrap();
+    let expected = run_one(&mut cold, 4 * 300);
     assert_eq!(cold.solver_invocations(), 1);
 
     let entries: Vec<PathBuf> = scratch
@@ -235,7 +256,7 @@ fn corrupt_cache_files_fall_back_to_clean_solves() {
             .session_builder(AppDomain::Classification.spec())
             .with_cache(FileCache::new(&scratch.0))
             .build();
-        let report = session.run(4 * 300).unwrap();
+        let report = run_one(&mut session, 4 * 300);
         assert_eq!(
             session.solver_invocations(),
             1,
@@ -249,7 +270,7 @@ fn corrupt_cache_files_fall_back_to_clean_solves() {
         .session_builder(AppDomain::Classification.spec())
         .with_cache(FileCache::new(&scratch.0))
         .build();
-    healed.run(4 * 300).unwrap();
+    run_one(&mut healed, 4 * 300);
     assert_eq!(healed.solver_invocations(), 0, "the cache must self-heal");
 }
 
@@ -266,9 +287,9 @@ fn file_cache_separates_configs() {
         .session_builder(AppDomain::Classification.spec())
         .with_cache(FileCache::new(&scratch.0))
         .build();
-    let csdt_report = session.run(4 * 300).unwrap();
+    let csdt_report = run_one(&mut session, 4 * 300);
     session.set_config(base);
-    let base_report = session.run(4 * 300).unwrap();
+    let base_report = run_one(&mut session, 4 * 300);
     assert_eq!(session.solver_invocations(), 2);
     assert!(
         base_report.compile.onchip_bytes > csdt_report.compile.onchip_bytes,
@@ -280,9 +301,9 @@ fn file_cache_separates_configs() {
         .session_builder(AppDomain::Classification.spec())
         .with_cache(FileCache::new(&scratch.0))
         .build();
-    assert_eq!(warm.run(4 * 300).unwrap(), base_report);
+    assert_eq!(run_one(&mut warm, 4 * 300), base_report);
     warm.set_config(csdt);
-    assert_eq!(warm.run(4 * 300).unwrap(), csdt_report);
+    assert_eq!(run_one(&mut warm, 4 * 300), csdt_report);
     assert_eq!(warm.solver_invocations(), 0);
 }
 
@@ -301,9 +322,9 @@ fn unwritable_file_cache_dir_degrades_to_memory() {
         .session_builder(AppDomain::Classification.spec())
         .with_cache(FileCache::new(&blocker))
         .build();
-    let first = session.run(4 * 300).unwrap();
+    let first = run_one(&mut session, 4 * 300);
     assert_eq!(session.solver_invocations(), 1);
-    let again = session.run(4 * 300).unwrap();
+    let again = run_one(&mut session, 4 * 300);
     assert_eq!(
         session.solver_invocations(),
         1,

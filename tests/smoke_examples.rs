@@ -10,7 +10,7 @@ use streamgrid_core::apps::AppDomain;
 use streamgrid_core::framework::{ExecuteOptions, StreamGrid};
 use streamgrid_core::pipeline::PipelineSpec;
 use streamgrid_core::registry::PipelineRegistry;
-use streamgrid_core::source::{DatasetSource, SizeBucketing, StreamOptions};
+use streamgrid_core::source::{DatasetSource, ReplaySource, SizeBucketing, StreamOptions};
 use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
 use streamgrid_dataflow::Shape;
 use streamgrid_nn::pointnet::ClsNet;
@@ -32,7 +32,7 @@ fn quickstart_path() {
     let elements = 1024 * 3;
     let options = ExecuteOptions {
         seed: 42,
-        ..ExecuteOptions::for_domain(AppDomain::Classification)
+        ..ExecuteOptions::for_spec(&AppDomain::Classification.spec())
     };
     let mut session =
         StreamGrid::new(StreamGridConfig::base()).session(AppDomain::Classification.spec());
@@ -44,8 +44,9 @@ fn quickstart_path() {
     ] {
         session.set_config(config);
         let report = session
-            .run_with(elements, &options)
-            .expect("pipeline compiles and runs");
+            .compiled(elements)
+            .expect("pipeline compiles")
+            .execute(&options);
         assert!(report.run.cycles > 0);
         assert!(report.total_uj().is_finite() && report.total_uj() > 0.0);
         assert!(report.dram_bytes() > 0);
@@ -102,8 +103,12 @@ fn custom_pipeline_path() {
     let fw = StreamGrid::new(StreamGridConfig::cs_dt(SplitConfig::linear(4, 2)));
     let mut session = fw.session(spec);
     let sizes = [4 * 512 * 3, 4 * 1024 * 3, 4 * 512 * 3];
-    let reports = session.run_batch(&sizes).expect("CS+DT compiles and runs");
-    for (i, report) in reports.iter().enumerate() {
+    let stream = session
+        .stream(ReplaySource::new(&sizes), &StreamOptions::default())
+        .expect("CS+DT compiles and runs");
+    assert_eq!(stream.frame_count(), sizes.len() as u64);
+    for (i, frame) in stream.frames.iter().enumerate() {
+        let report = &frame.report;
         assert!(report.is_clean(), "cloud {i}: CS+DT must run clean");
         assert!(
             report.run.cycles > 0 && report.total_uj() > 0.0,

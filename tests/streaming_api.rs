@@ -6,7 +6,7 @@
 use std::collections::HashSet;
 
 use streamgrid_core::apps::AppDomain;
-use streamgrid_core::framework::StreamGrid;
+use streamgrid_core::framework::{ExecuteOptions, StreamGrid};
 use streamgrid_core::source::{
     DatasetSource, FrameSource, ReplaySource, SizeBucketing, StreamOptions, SyntheticSource,
 };
@@ -74,28 +74,6 @@ fn lidar_stream_64_frames_quantized_amortizes_solves() {
         "a fresh session's stream pays exactly the session's solves"
     );
     assert!(report.frames_per_solve() > 1.0);
-}
-
-/// `run`/`run_batch` stay source-compatible wrappers: same signatures,
-/// same reports as the pre-streaming surface (fresh one-shot executes).
-#[test]
-fn scalar_surface_remains_source_compatible() {
-    let fw = csdt4();
-    let mut session = fw.session(AppDomain::Classification.spec());
-    let single = session.run(4 * 300).unwrap();
-    let fresh = fw.execute(AppDomain::Classification, 4 * 300).unwrap();
-    assert_eq!(single, fresh);
-
-    let sizes = [4 * 300u64, 4 * 450, 4 * 300];
-    let batch = session.run_batch(&sizes).unwrap();
-    assert_eq!(batch.len(), sizes.len());
-    for (&total, report) in sizes.iter().zip(&batch) {
-        let fresh = fw.execute(AppDomain::Classification, total).unwrap();
-        assert_eq!(report, &fresh, "run_batch diverged at {total} elements");
-    }
-    // The wrappers share the stream path's cache: 2 distinct sizes plus
-    // the earlier run() = 2 solves in total.
-    assert_eq!(session.solver_invocations(), 2);
 }
 
 /// A synthetic fixed-size stream is the degenerate case: one solve,
@@ -170,23 +148,29 @@ fn dataset_source_frames_track_cloud_sizes() {
     assert!(source.next_frame().is_none());
 }
 
-/// Exact replay through `stream` equals the same sizes through the
-/// legacy batch surface, report for report.
+/// Exact replay through `stream` equals fresh one-shot
+/// compile-then-execute calls on the same sizes, report for report, and
+/// pays one solve per distinct size.
 #[test]
-fn stream_and_run_batch_agree() {
+fn exact_replay_matches_one_shot_executes() {
     let sizes: Vec<u64> = (0..6).map(|i| 1200 + 37 * i).collect();
     let fw = csdt4();
-    let mut a = fw.session(AppDomain::NeuralRendering.spec());
-    let mut b = fw.session(AppDomain::NeuralRendering.spec());
-    let stream = a
+    let spec = AppDomain::NeuralRendering.spec();
+    let mut session = fw.session(spec.clone());
+    let stream = session
         .stream(ReplaySource::new(&sizes), &StreamOptions::default())
         .unwrap();
-    let batch = b.run_batch(&sizes).unwrap();
-    assert_eq!(
-        stream.frames.iter().map(|f| &f.report).collect::<Vec<_>>(),
-        batch.iter().collect::<Vec<_>>()
-    );
-    assert_eq!(a.solver_invocations(), b.solver_invocations());
+    assert_eq!(stream.frame_count(), sizes.len() as u64);
+    for (frame, &total) in stream.frames.iter().zip(&sizes) {
+        assert_eq!(frame.scheduled_elements, total);
+        let fresh = fw
+            .compile_spec(&spec, total)
+            .unwrap()
+            .execute(&ExecuteOptions::for_spec(&spec));
+        assert_eq!(frame.report, fresh, "diverged at {total} elements");
+    }
+    assert_eq!(stream.solver_invocations, sizes.len() as u64);
+    assert_eq!(stream.source_elements(), sizes.iter().sum::<u64>());
 }
 
 /// A `FrameSource` written against the original trait surface — only
